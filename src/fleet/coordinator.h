@@ -3,11 +3,13 @@
 // merges the results into a CampaignReport byte-identical to a
 // fault-free single-host run — for any failure schedule.
 //
-// Server shape follows vacd (net/server.h): one Unix listening socket,
-// an accept thread, a bounded worker pool shedding BUSY at the door.
-// All campaign state (lease table, completed reports, dedup window,
-// journal) lives under one mutex — claims and completes mutate, and the
-// request rate is worker-bounded, so a reader/writer split buys nothing.
+// Serving is vacd's frame-server core (net/frame_server.h) on one Unix
+// socket, with vacd's default connection limits. Every request goes to
+// the worker pool: each takes the campaign mutex, and claims and
+// completes fsync the journal before they are acknowledged. All campaign
+// state (lease table, completed reports, dedup window, journal) lives
+// under that one mutex — claims and completes mutate, and the request
+// rate is worker-bounded, so a reader/writer split buys nothing.
 //
 // Fault tolerance, by failure:
 //   * worker crash/stall/partition — its lease expires unrenewed; the
@@ -28,7 +30,6 @@
 // immunization without a separate publish step.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -36,15 +37,14 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "campaign/journal.h"
 #include "fleet/lease.h"
 #include "net/fleet_protocol.h"
+#include "net/frame_server.h"
 #include "support/status.h"
-#include "support/threadpool.h"
 #include "vaccine/pipeline.h"
 #include "vacstore/store.h"
 #include "vm/program.h"
@@ -53,9 +53,7 @@ namespace autovac::fleet {
 
 struct CoordinatorOptions {
   std::string socket_path;
-  size_t threads = 4;
-  size_t max_pending = 64;      // shed BUSY past this many in flight
-  uint64_t deadline_ms = 5000;  // per-connection socket deadline
+  size_t threads = 4;           // request worker pool size
   uint64_t lease_ms = 5000;     // lease validity window
   // Write-ahead journal (campaign/journal.h); empty = in-memory only
   // (tests), which forfeits coordinator crash recovery.
@@ -106,7 +104,8 @@ class FleetCoordinator {
   // occurs, or `timeout_ms` elapses (0 = wait forever).
   [[nodiscard]] Status WaitUntilDone(uint64_t timeout_ms = 0);
 
-  // Graceful, idempotent shutdown (destructor calls it too).
+  // Graceful, idempotent shutdown (destructor calls it too): stops
+  // accepting and answers every request already at the worker pool.
   void Stop();
 
   // The merged campaign artifact; Internal until every sample is done.
@@ -118,17 +117,17 @@ class FleetCoordinator {
     return config_digest_;
   }
 
-  // Total requests dispatched since Start(). Lets a caller that wants to
+  // Total requests received since Start(). Lets a caller that wants to
   // shut down after the campaign completes wait for the fleet to go
   // quiet first, so idle workers observe done=true on their next claim
   // instead of a torn connection.
   [[nodiscard]] uint64_t requests_served() const {
-    return requests_served_.load(std::memory_order_relaxed);
+    return frames_.requests();
   }
 
  private:
-  void AcceptLoop();
-  void ServeConnection(int fd);
+  // The frame handler: parses once and hands the request to the pool.
+  [[nodiscard]] net::FrameAnswer Serve(std::string payload);
   [[nodiscard]] net::FleetReply Dispatch(const net::FleetRequest& request);
   [[nodiscard]] net::FleetReply HandleClaim(const net::ClaimRequest& claim);
   [[nodiscard]] net::FleetReply HandleComplete(
@@ -157,13 +156,10 @@ class FleetCoordinator {
   CoordinatorStats stats_;
   size_t assignments_journaled_ = 0;
 
-  int listen_fd_ = -1;
-  int stop_pipe_[2] = {-1, -1};
-  std::thread accept_thread_;
-  std::unique_ptr<ThreadPool> pool_;
   bool running_ = false;
-  std::atomic<size_t> pending_{0};
-  std::atomic<uint64_t> requests_served_{0};
+
+  // Last: its destructor drains and joins while the state above lives.
+  net::FrameServer frames_;
 };
 
 }  // namespace autovac::fleet

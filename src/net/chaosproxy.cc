@@ -4,7 +4,6 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -18,14 +17,6 @@
 
 namespace autovac::net {
 namespace {
-
-void SetDeadline(int fd, uint64_t deadline_ms) {
-  timeval tv;
-  tv.tv_sec = static_cast<time_t>(deadline_ms / 1000);
-  tv.tv_usec = static_cast<suseconds_t>((deadline_ms % 1000) * 1000);
-  (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  (void)::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
 
 // The backend leg must dial the *real* socket even when a test has
 // installed an in-process fault shim, so backend connects bypass
@@ -58,7 +49,7 @@ int ConnectBackend(const std::string& spec, uint64_t deadline_ms) {
     fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   }
   if (fd < 0) return -1;
-  SetDeadline(fd, deadline_ms);
+  SetDeadlines(fd, deadline_ms);
   while (::connect(fd, reinterpret_cast<const sockaddr*>(&storage), len) !=
          0) {
     if (errno == EINTR) continue;
@@ -136,7 +127,7 @@ void ChaosProxy::AcceptLoop() {
     if ((fds[1].revents & POLLIN) == 0) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
-    SetDeadline(fd, options_.deadline_ms);
+    SetDeadlines(fd, options_.deadline_ms);
     const ConnectionFaults faults = injector_.OnConnect();
     connections_.fetch_add(1, std::memory_order_relaxed);
     if (!faults.Clean()) {

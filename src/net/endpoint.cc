@@ -18,14 +18,6 @@ namespace {
 
 constexpr std::string_view kTcpPrefix = "tcp:";
 
-void SetDeadlines(int fd, uint64_t deadline_ms) {
-  timeval tv;
-  tv.tv_sec = static_cast<time_t>(deadline_ms / 1000);
-  tv.tv_usec = static_cast<suseconds_t>((deadline_ms % 1000) * 1000);
-  (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  (void)::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
-
 Result<sockaddr_in> TcpAddress(const Endpoint& endpoint) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -51,6 +43,14 @@ Result<sockaddr_un> UnixAddress(const std::string& path) {
 }
 
 }  // namespace
+
+void SetDeadlines(int fd, uint64_t deadline_ms) {
+  timeval tv;
+  tv.tv_sec = static_cast<time_t>(deadline_ms / 1000);
+  tv.tv_usec = static_cast<suseconds_t>((deadline_ms % 1000) * 1000);
+  (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  (void)::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+}
 
 std::string Endpoint::Spec() const {
   if (!tcp) return path;

@@ -40,6 +40,10 @@ struct Endpoint {
 // The locally bound TCP port of a listening fd (resolves port 0).
 [[nodiscard]] Result<uint16_t> ListenPort(int fd);
 
+// Sets SO_RCVTIMEO and SO_SNDTIMEO on a blocking socket, so a stalled
+// peer surfaces as DeadlineExceeded from the frame reads and writes.
+void SetDeadlines(int fd, uint64_t deadline_ms);
+
 // Connects with SO_RCVTIMEO/SO_SNDTIMEO deadlines, routing through the
 // wire-fault shim (WireConnect) so TCP clients inherit the same
 // injectable faults as Unix ones. Refused/absent maps to NotFound (the

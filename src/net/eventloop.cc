@@ -4,7 +4,9 @@
 #include <sys/eventfd.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <utility>
 
@@ -91,9 +93,14 @@ void EventLoop::DrainPosted() {
 void EventLoop::Run(uint64_t tick_ms, const std::function<void()>& on_tick) {
   constexpr int kMaxEvents = 128;
   epoll_event events[kMaxEvents];
+  const auto tick = std::chrono::milliseconds(tick_ms);
+  auto next_tick = std::chrono::steady_clock::now() + tick;
   while (!stop_.load(std::memory_order_acquire)) {
-    const int ready = ::epoll_wait(epoll_fd_, events, kMaxEvents,
-                                   static_cast<int>(tick_ms));
+    const auto wait = std::chrono::duration_cast<std::chrono::milliseconds>(
+        next_tick - std::chrono::steady_clock::now());
+    const int ready = ::epoll_wait(
+        epoll_fd_, events, kMaxEvents,
+        static_cast<int>(std::max<int64_t>(wait.count(), 0)));
     if (ready < 0) {
       if (errno == EINTR) continue;
       return;
@@ -114,7 +121,13 @@ void EventLoop::Run(uint64_t tick_ms, const std::function<void()>& on_tick) {
       (*handler)(events[i].events);
     }
     DrainPosted();
-    if (ready == 0 && on_tick) on_tick();
+    // Ticks by the clock, not by idleness: a loop that never goes quiet
+    // still sweeps.
+    const auto now = std::chrono::steady_clock::now();
+    if (now >= next_tick) {
+      if (on_tick) on_tick();
+      next_tick = now + tick;
+    }
   }
   // One final drain so a Post racing Stop() is not silently dropped.
   DrainPosted();

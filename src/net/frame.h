@@ -4,11 +4,11 @@
 // magic ("AVNF", distinct from the campaign workers' "AVWF") rejects
 // cross-protocol connects immediately instead of misparsing a length.
 //
-// Reads and writes are blocking; the per-request deadline is enforced by
-// SO_RCVTIMEO/SO_SNDTIMEO on the socket, which surfaces here as
-// DeadlineExceeded. A clean EOF before any header byte is NotFound
-// ("connection closed"), so servers can tell an idle hang-up from a torn
-// frame.
+// ReadNetFrame/WriteNetFrame are the blocking client side; the deadline
+// is enforced by SO_RCVTIMEO/SO_SNDTIMEO on the socket, which surfaces
+// here as DeadlineExceeded. A clean EOF before any header byte is
+// NotFound ("connection closed"), so a caller can tell a hang-up from a
+// torn frame. Servers decode with FrameDecoder on non-blocking sockets.
 #pragma once
 
 #include <cstdint>

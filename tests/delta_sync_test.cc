@@ -8,10 +8,7 @@
 // on.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -31,6 +28,7 @@
 #include "net/protocol.h"
 #include "net/server.h"
 #include "net/sync.h"
+#include "support/metrics.h"
 #include "vacstore/store.h"
 
 namespace autovac::net {
@@ -479,7 +477,8 @@ TEST(FrameDecoder, ReassemblesSplitAndPipelinedFrames) {
 }
 
 // ---------------------------------------------------------------------
-// TCP event-loop tier: end to end, flow control, idle sweep
+// The event-loop core: end to end, flow control and idle sweep on both
+// listeners, drain, TCP_NODELAY
 // ---------------------------------------------------------------------
 
 VacdOptions TcpOptions(const std::string& socket_path) {
@@ -493,19 +492,24 @@ std::string TcpSpec(const VacdServer& server) {
   return "tcp:127.0.0.1:" + std::to_string(server.tcp_port());
 }
 
-int ConnectTcp(uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  EXPECT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  timeval timeout = {5, 0};
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
-  return fd;
+// The client endpoint spec of one of the server's two listeners.
+std::string ListenerSpec(const VacdServer& server,
+                         const std::string& socket_path, bool tcp) {
+  return tcp ? TcpSpec(server) : socket_path;
 }
+
+// A raw blocking connection to one of the server's two listeners, with a
+// receive timeout so a misbehaving server fails the test, not hangs it.
+int ConnectListener(const VacdServer& server, const std::string& socket_path,
+                    bool tcp) {
+  auto endpoint = ParseEndpoint(ListenerSpec(server, socket_path, tcp));
+  EXPECT_TRUE(endpoint.ok());
+  auto fd = DialEndpoint(*endpoint, /*deadline_ms=*/5000);
+  EXPECT_TRUE(fd.ok()) << fd.status().ToString();
+  return fd.ok() ? *fd : -1;
+}
+
+const char* ListenerName(bool tcp) { return tcp ? "tcp" : "unix"; }
 
 TEST(TcpServing, EndToEndOverEventLoop) {
   ScratchPath socket("delta_sync_tcp.sock");
@@ -526,7 +530,7 @@ TEST(TcpServing, EndToEndOverEventLoop) {
   EXPECT_EQ(pull->items.size(), 3u);
 
   // Quarantine over TCP (second mutation path), then confirm both
-  // tiers serve the same bytes for a full pull.
+  // listeners serve the same bytes for a full pull.
   ASSERT_TRUE(tcp_client.Quarantine(pull->items[0].digest, "tcp").ok());
   VacdClient unix_client(socket.path());
   EXPECT_EQ(FullPullBytes(tcp_client), FullPullBytes(unix_client));
@@ -544,24 +548,27 @@ TEST(TcpServing, PipelinedRequestsOnOneConnection) {
   VacdClient unix_client(socket.path());
   PushEpochs(unix_client, os::ResourceType::kFile, "pipe", 2);
 
-  const int fd = ConnectTcp(server.tcp_port());
-  // Two status requests in one write: the decoder must split them and
-  // both replies must come back in order.
-  const std::string frame =
-      EncodeNetFrame(RequestToJson(Request(StatusRequest{})));
-  const std::string both = frame + frame;
-  ASSERT_EQ(::send(fd, both.data(), both.size(), MSG_NOSIGNAL),
-            static_cast<ssize_t>(both.size()));
-  for (int i = 0; i < 2; ++i) {
-    auto raw = ReadNetFrame(fd);
-    ASSERT_TRUE(raw.ok()) << raw.status().ToString();
-    auto reply = ParseReply(*raw);
-    ASSERT_TRUE(reply.ok());
-    const auto* status = std::get_if<StatusReply>(&reply.value());
-    ASSERT_NE(status, nullptr);
-    EXPECT_EQ(status->served, 2u);
+  for (const bool tcp : {true, false}) {
+    SCOPED_TRACE(ListenerName(tcp));
+    const int fd = ConnectListener(server, socket.path(), tcp);
+    // Two status requests in one write: the decoder must split them and
+    // both replies must come back in order.
+    const std::string frame =
+        EncodeNetFrame(RequestToJson(Request(StatusRequest{})));
+    const std::string both = frame + frame;
+    ASSERT_EQ(::send(fd, both.data(), both.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(both.size()));
+    for (int i = 0; i < 2; ++i) {
+      auto raw = ReadNetFrame(fd);
+      ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+      auto reply = ParseReply(*raw);
+      ASSERT_TRUE(reply.ok());
+      const auto* status = std::get_if<StatusReply>(&reply.value());
+      ASSERT_NE(status, nullptr);
+      EXPECT_EQ(status->served, 2u);
+    }
+    ::close(fd);
   }
-  ::close(fd);
 }
 
 TEST(TcpServing, RateLimitShedsWithBusyOnOneConnection) {
@@ -572,59 +579,65 @@ TEST(TcpServing, RateLimitShedsWithBusyOnOneConnection) {
   VacdServer server(vacstore::VaccineStore(), options);
   ASSERT_TRUE(server.Start().ok());
 
-  const int fd = ConnectTcp(server.tcp_port());
-  const std::string frame =
-      EncodeNetFrame(RequestToJson(Request(StatusRequest{})));
-  const std::string both = frame + frame;
-  ASSERT_EQ(::send(fd, both.data(), both.size(), MSG_NOSIGNAL),
-            static_cast<ssize_t>(both.size()));
-  // First request spends the single token and succeeds...
-  auto first = ReadNetFrame(fd);
-  ASSERT_TRUE(first.ok());
-  auto first_reply = ParseReply(*first);
-  ASSERT_TRUE(first_reply.ok());
-  EXPECT_NE(std::get_if<StatusReply>(&first_reply.value()), nullptr);
-  // ...the second is shed with BUSY, and the connection stays usable.
-  auto second = ReadNetFrame(fd);
-  ASSERT_TRUE(second.ok());
-  auto second_reply = ParseReply(*second);
-  ASSERT_TRUE(second_reply.ok());
-  const auto* error = std::get_if<ErrorReply>(&second_reply.value());
-  ASSERT_NE(error, nullptr);
-  EXPECT_TRUE(error->busy);
-  ::close(fd);
+  for (const bool tcp : {true, false}) {
+    SCOPED_TRACE(ListenerName(tcp));
+    const int fd = ConnectListener(server, socket.path(), tcp);
+    const std::string frame =
+        EncodeNetFrame(RequestToJson(Request(StatusRequest{})));
+    const std::string both = frame + frame;
+    ASSERT_EQ(::send(fd, both.data(), both.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(both.size()));
+    // First request spends the single token and succeeds...
+    auto first = ReadNetFrame(fd);
+    ASSERT_TRUE(first.ok());
+    auto first_reply = ParseReply(*first);
+    ASSERT_TRUE(first_reply.ok());
+    EXPECT_NE(std::get_if<StatusReply>(&first_reply.value()), nullptr);
+    // ...the second is shed with BUSY, and the connection stays usable.
+    auto second = ReadNetFrame(fd);
+    ASSERT_TRUE(second.ok());
+    auto second_reply = ParseReply(*second);
+    ASSERT_TRUE(second_reply.ok());
+    const auto* error = std::get_if<ErrorReply>(&second_reply.value());
+    ASSERT_NE(error, nullptr);
+    EXPECT_TRUE(error->busy);
+    ::close(fd);
 
-  // A fresh connection gets a fresh bucket: limits are per client.
-  VacdClient client(TcpSpec(server));
-  EXPECT_TRUE(client.Stats().ok());
+    // A fresh connection gets a fresh bucket: limits are per client.
+    VacdClient client(ListenerSpec(server, socket.path(), tcp));
+    EXPECT_TRUE(client.Stats().ok());
+  }
 }
 
 TEST(TcpServing, MaxConnectionsShedsAtAccept) {
-  ScratchPath socket("delta_sync_maxconn.sock");
-  VacdOptions options = TcpOptions(socket.path());
-  options.max_connections = 1;
-  VacdServer server(vacstore::VaccineStore(), options);
-  ASSERT_TRUE(server.Start().ok());
+  for (const bool tcp : {true, false}) {
+    SCOPED_TRACE(ListenerName(tcp));
+    ScratchPath socket("delta_sync_maxconn.sock");
+    VacdOptions options = TcpOptions(socket.path());
+    options.max_connections = 1;
+    VacdServer server(vacstore::VaccineStore(), options);
+    ASSERT_TRUE(server.Start().ok());
 
-  // Occupy the only slot, and prove it is registered by completing a
-  // round trip on it.
-  const int held = ConnectTcp(server.tcp_port());
-  ASSERT_TRUE(
-      WriteNetFrame(held, RequestToJson(Request(StatusRequest{}))).ok());
-  ASSERT_TRUE(ReadNetFrame(held).ok());
+    // Occupy the only slot, and prove it is registered by completing a
+    // round trip on it.
+    const int held = ConnectListener(server, socket.path(), tcp);
+    ASSERT_TRUE(
+        WriteNetFrame(held, RequestToJson(Request(StatusRequest{}))).ok());
+    ASSERT_TRUE(ReadNetFrame(held).ok());
 
-  // The second connection is shed at accept with a best-effort BUSY
-  // frame before close.
-  const int shed = ConnectTcp(server.tcp_port());
-  auto raw = ReadNetFrame(shed);
-  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
-  auto reply = ParseReply(*raw);
-  ASSERT_TRUE(reply.ok());
-  const auto* error = std::get_if<ErrorReply>(&reply.value());
-  ASSERT_NE(error, nullptr);
-  EXPECT_TRUE(error->busy);
-  ::close(shed);
-  ::close(held);
+    // The second connection is shed at accept with a best-effort BUSY
+    // frame before close.
+    const int shed = ConnectListener(server, socket.path(), tcp);
+    auto raw = ReadNetFrame(shed);
+    ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+    auto reply = ParseReply(*raw);
+    ASSERT_TRUE(reply.ok());
+    const auto* error = std::get_if<ErrorReply>(&reply.value());
+    ASSERT_NE(error, nullptr);
+    EXPECT_TRUE(error->busy);
+    ::close(shed);
+    ::close(held);
+  }
 }
 
 TEST(TcpServing, IdleConnectionsAreSwept) {
@@ -634,15 +647,82 @@ TEST(TcpServing, IdleConnectionsAreSwept) {
   VacdServer server(vacstore::VaccineStore(), options);
   ASSERT_TRUE(server.Start().ok());
 
-  const int fd = ConnectTcp(server.tcp_port());
-  ASSERT_TRUE(
-      WriteNetFrame(fd, RequestToJson(Request(StatusRequest{}))).ok());
-  ASSERT_TRUE(ReadNetFrame(fd).ok());
+  int fds[2];
+  for (const bool tcp : {true, false}) {
+    const int fd = ConnectListener(server, socket.path(), tcp);
+    ASSERT_TRUE(
+        WriteNetFrame(fd, RequestToJson(Request(StatusRequest{}))).ok());
+    ASSERT_TRUE(ReadNetFrame(fd).ok());
+    fds[tcp ? 0 : 1] = fd;
+  }
   // The sweep runs on the 500ms loop tick; well past one tick the
-  // server must have closed the idle connection (clean EOF).
+  // server must have closed both idle connections (clean EOF).
   std::this_thread::sleep_for(std::chrono::milliseconds(1300));
-  auto eof = ReadNetFrame(fd);
-  EXPECT_EQ(eof.status().code(), StatusCode::kNotFound);
+  for (const bool tcp : {true, false}) {
+    SCOPED_TRACE(ListenerName(tcp));
+    const int fd = fds[tcp ? 0 : 1];
+    auto eof = ReadNetFrame(fd);
+    EXPECT_EQ(eof.status().code(), StatusCode::kNotFound);
+    ::close(fd);
+  }
+}
+
+TEST(TcpServing, StopAnswersPushesAlreadyAtThePool) {
+  // One push large enough that it is still parsing or applying when
+  // Stop() runs: Stop() must keep the loop alive until its reply is out.
+  std::vector<vaccine::Vaccine> batch;
+  for (int i = 0; i < 5000; ++i) {
+    batch.push_back(
+        MakeVaccine(os::ResourceType::kMutex, "drain" + std::to_string(i)));
+  }
+  Counter* requests = GlobalMetrics().GetCounter("vacd.requests");
+  for (const bool tcp : {true, false}) {
+    SCOPED_TRACE(ListenerName(tcp));
+    ScratchPath socket("delta_sync_drain.sock");
+    VacdServer server(vacstore::VaccineStore(), TcpOptions(socket.path()));
+    ASSERT_TRUE(server.Start().ok());
+    const VacdClient client(ListenerSpec(server, socket.path(), tcp),
+                            /*deadline_ms=*/30000);
+
+    const uint64_t before = requests->value();
+    Result<PushReply> pushed = Status::Internal("push never ran");
+    std::thread pusher([&] { pushed = client.Push(batch); });
+    // The frame has been decoded, so the push is at the pool (or about
+    // to be) when Stop() begins.
+    while (requests->value() == before) std::this_thread::yield();
+    server.Stop();
+    pusher.join();
+    ASSERT_TRUE(pushed.ok()) << pushed.status().ToString();
+    EXPECT_EQ(pushed->added, batch.size());
+    EXPECT_EQ(server.store().served_count(), batch.size());
+  }
+}
+
+TEST(TcpServing, PipelinedBurstsAreNotHeldByNagle) {
+  ScratchPath socket("delta_sync_nagle.sock");
+  VacdServer server(vacstore::VaccineStore(), TcpOptions(socket.path()));
+  ASSERT_TRUE(server.Start().ok());
+  const int fd = ConnectListener(server, socket.path(), /*tcp=*/true);
+
+  bool encoded = false;
+  const std::string frame = EncodeNetFrame(EncodeBinaryRequest(
+      Request(QueryRequest{os::ResourceType::kMutex, "absent"}), &encoded));
+  ASSERT_TRUE(encoded);
+  std::string burst;
+  for (int i = 0; i < 4; ++i) burst += frame;
+
+  // Each reply is its own send; without TCP_NODELAY every reply after the
+  // first waits for the client's delayed ACK (~40 ms per burst).
+  const auto start = std::chrono::steady_clock::now();
+  for (int round = 0; round < 50; ++round) {
+    ASSERT_EQ(::send(fd, burst.data(), burst.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(burst.size()));
+    for (int i = 0; i < 4; ++i) {
+      auto raw = ReadNetFrame(fd);
+      ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+    }
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
   ::close(fd);
 }
 

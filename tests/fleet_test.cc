@@ -12,9 +12,12 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <variant>
 #include <vector>
 
@@ -419,6 +422,67 @@ TEST(FleetCoordinator, MisconfiguredWorkerRefusesItsClaim) {
   coordinator.Stop();
 }
 
+TEST(FleetCoordinator, StopAnswersACompleteAlreadyAtThePool) {
+  ScratchFile sock("fleet_drain.sock");
+  const std::vector<vm::Program> wave = SmallCorpus(33, 1);
+
+  // One pool worker, and a lease clock that, once armed, stalls the claim
+  // reading it until Stop() has removed the listener (unlinking the
+  // socket file). A complete queued behind that claim is then at the pool
+  // when Stop() begins, deterministically.
+  std::atomic<bool> stall{false};
+  fleet::CoordinatorOptions options;
+  options.socket_path = sock.path();
+  options.threads = 1;
+  options.clock = [&stall, path = sock.path()] {
+    const auto start = std::chrono::steady_clock::now();
+    while (stall.load() && ::access(path.c_str(), F_OK) == 0 &&
+           std::chrono::steady_clock::now() - start <
+               std::chrono::seconds(10)) {
+      ::usleep(1000);
+    }
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+  };
+  fleet::FleetCoordinator coordinator(wave, FastOptions(), options);
+  ASSERT_TRUE(coordinator.Start().ok());
+
+  fleet::FleetClient client(sock.path());
+  auto claim = client.Claim("w1");
+  ASSERT_TRUE(claim.ok()) << claim.status().ToString();
+  ASSERT_TRUE(claim->has_work);
+  vaccine::VaccinePipeline pipeline(nullptr, FastOptions());
+  net::CompleteRequest complete;
+  complete.worker_id = "w1";
+  complete.lease_id = claim->lease_id;
+  complete.sample_index = claim->sample_index;
+  complete.report = vaccine::AnalyzeIsolated(
+      pipeline, wave[static_cast<size_t>(claim->sample_index)]);
+
+  stall = true;
+  const uint64_t before = coordinator.requests_served();
+  Result<net::ClaimReply> stalled = Status::Internal("claim never ran");
+  std::thread claimer([&] { stalled = client.Claim("w2"); });
+  while (coordinator.requests_served() == before) std::this_thread::yield();
+  Result<net::CompleteReply> completed = Status::Internal("never ran");
+  std::thread uploader([&] { completed = client.Complete(complete); });
+  while (coordinator.requests_served() == before + 1) {
+    std::this_thread::yield();
+  }
+  coordinator.Stop();
+  claimer.join();
+  uploader.join();
+
+  ASSERT_TRUE(stalled.ok()) << stalled.status().ToString();
+  EXPECT_FALSE(stalled->has_work);
+  ASSERT_TRUE(completed.ok()) << completed.status().ToString();
+  EXPECT_TRUE(completed->accepted);
+  EXPECT_TRUE(completed->campaign_done);
+  EXPECT_TRUE(coordinator.Report().ok());
+}
+
 // ---------------------------------------------------------------------
 // The acceptance bar: byte-identical merges for every failure schedule
 // ---------------------------------------------------------------------
@@ -581,7 +645,6 @@ TEST(FleetChaos, LyingNetworkBetweenWorkerAndCoordinator) {
 
   fleet::CoordinatorOptions options;
   options.socket_path = sock.path();
-  options.deadline_ms = 500;
   fleet::FleetCoordinator coordinator(wave, FastOptions(), options);
   ASSERT_TRUE(coordinator.Start().ok());
 

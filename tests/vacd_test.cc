@@ -415,7 +415,7 @@ TEST(Vacd, OverloadIsShedWithExplicitBusy) {
   VacdOptions options;
   options.socket_path = sock.path();
   options.threads = 1;
-  options.max_pending = 0;  // every connection is over the line
+  options.max_connections = 0;  // every connection is over the line
   VacdServer server(vacstore::VaccineStore(), options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -445,12 +445,12 @@ TEST(Vacd, StalledClientHitsTheDeadlineAndServerSurvives) {
   VacdOptions options;
   options.socket_path = sock.path();
   options.threads = 2;
-  options.deadline_ms = 100;
+  options.idle_timeout_ms = 100;
   VacdServer server(vacstore::VaccineStore(), options);
   ASSERT_TRUE(server.Start().ok());
 
-  // Half a frame header, then silence: the worker's read deadline must
-  // fire and the server must close the connection.
+  // Half a frame header, then silence: the idle sweep must close the
+  // connection.
   int fd = ConnectTo(sock.path());
   const unsigned char half[4] = {0x41, 0x56, 0x4E, 0x46};
   ASSERT_EQ(write(fd, half, sizeof half), static_cast<ssize_t>(sizeof half));
@@ -461,7 +461,7 @@ TEST(Vacd, StalledClientHitsTheDeadlineAndServerSurvives) {
   EXPECT_EQ(n, 0) << "server did not close the stalled connection";
   close(fd);
 
-  // The stalled worker was released; real requests still work.
+  // Real requests still work.
   VacdClient client(sock.path());
   auto stats = client.Stats();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();

@@ -176,29 +176,22 @@ void PrintUsage(std::FILE* out) {
       "vacd serving options (serve):\n"
       "  --store <f>          durable store file (JSONL, created if absent)\n"
       "  --threads <n>        request worker threads (default 4)\n"
-      "  --queue <n>          max in-flight requests before shedding BUSY\n"
-      "                       (default 64)\n"
-      "  --deadline-ms <n>    per-request socket deadline (default 5000)\n"
       "  --checkpoint-every <n>  checkpoint the store every n accepted\n"
       "                       vaccines (and on shutdown), so a restart\n"
       "                       replays only the delta since the checkpoint\n"
-      "  --sndbuf <bytes>     per-connection output buffer cap; a client\n"
-      "                       that stops reading past this is evicted\n"
-      "                       (default 131072, 0 = kernel default)\n"
       "  --dedup-window <n>   push replies remembered for idempotent\n"
       "                       retries (default 128, 0 disables)\n"
       "  --no-exclusiveness   skip the benign-conflict quarantine scan\n"
-      "  --tcp <host:port>    also serve the event-driven TCP tier\n"
-      "                       (persistent connections, pipelined JSON or\n"
-      "                       binary frames; port 0 = ephemeral, printed\n"
-      "                       on the readiness line). Loopback only\n"
-      "                       unless the network is trusted: no auth yet\n"
-      "  --max-connections <n>  concurrent TCP connections before new\n"
-      "                       connects shed BUSY (default 4096)\n"
+      "  --tcp <host:port>    also listen on TCP (port 0 = ephemeral,\n"
+      "                       printed on the readiness line). Loopback\n"
+      "                       only unless the network is trusted: no auth\n"
+      "                       yet\n"
+      "  --max-connections <n>  concurrent connections (Unix and TCP)\n"
+      "                       before new connects shed BUSY (default 4096)\n"
       "  --rate-rps <r>       per-connection sustained requests/second\n"
       "                       before BUSY (default 0 = unlimited)\n"
       "  --rate-burst <n>     token-bucket burst size (default 64)\n"
-      "  --idle-timeout-ms <n>  close TCP connections idle this long\n"
+      "  --idle-timeout-ms <n>  close connections idle this long\n"
       "                       (default 60000, 0 disables)\n"
       "vacd client options (push/query/pull/sync/quarantine; --socket\n"
       "also accepts a TCP endpoint spec 'tcp:host:port' or 'tcp:port'):\n"
@@ -948,24 +941,24 @@ int CmdServe(int argc, char** argv) {
   if (WantsHelp(argc, argv)) {
     std::printf(
         "usage: autovac serve --socket <s> [--store <f>] [--threads <n>]\n"
-        "                     [--queue <n>] [--deadline-ms <n>]\n"
-        "                     [--checkpoint-every <n>] [--sndbuf <bytes>]\n"
+        "                     [--checkpoint-every <n>]\n"
         "                     [--dedup-window <n>] [--no-exclusiveness]\n"
         "                     [--tcp <host:port>] [--max-connections <n>]\n"
         "                     [--rate-rps <r>] [--rate-burst <n>]\n"
         "                     [--idle-timeout-ms <n>]\n"
         "Runs vacd, the vaccine store + distribution server, until SIGINT\n"
-        "or SIGTERM (both drain: in-flight requests finish and the store\n"
-        "is fsync'd before exit). With --store the feed is durable: pushes\n"
+        "or SIGTERM (both drain: every request already at the worker pool\n"
+        "is answered and the store is fsync'd before exit). With --store the feed is durable: pushes\n"
         "append to a fsync'd JSONL journal that survives crashes and\n"
         "restarts; --checkpoint-every bounds restart recovery to the\n"
         "delta since the last checkpoint. Vaccines whose identifier or\n"
         "pattern collides with the benign corpus are quarantined (stored,\n"
         "never served) unless --no-exclusiveness is given.\n"
-        "--tcp adds the event-driven TCP tier: persistent connections,\n"
-        "pipelined JSON or binary frames, per-connection flow control\n"
-        "(token bucket, bounded write buffer, idle sweep). Port 0 picks\n"
-        "an ephemeral port, printed in the readiness line. No\n"
+        "The Unix socket and the optional --tcp listener share one\n"
+        "event-driven core: persistent connections, pipelined JSON or\n"
+        "binary frames, per-connection flow control (connection cap,\n"
+        "token bucket, bounded write buffer, idle sweep). --tcp port 0\n"
+        "picks an ephemeral port, printed in the readiness line. No\n"
         "authentication yet: bind loopback (the default host) unless the\n"
         "network is trusted.\n");
     return 0;
@@ -991,24 +984,9 @@ int CmdServe(int argc, char** argv) {
         return 2;
       }
       options.threads = static_cast<size_t>(threads);
-    } else if (std::strcmp(arg, "--queue") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      const long long queue = std::strtoll(value, nullptr, 0);
-      if (queue <= 0) {
-        std::fprintf(stderr, "error: --queue requires at least 1\n");
-        return 2;
-      }
-      options.max_pending = static_cast<size_t>(queue);
-    } else if (std::strcmp(arg, "--deadline-ms") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      options.deadline_ms = std::strtoull(value, nullptr, 0);
     } else if (std::strcmp(arg, "--checkpoint-every") == 0) {
       if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
       options.checkpoint_every =
-          static_cast<size_t>(std::strtoull(value, nullptr, 0));
-    } else if (std::strcmp(arg, "--sndbuf") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      options.sndbuf_bytes =
           static_cast<size_t>(std::strtoull(value, nullptr, 0));
     } else if (std::strcmp(arg, "--dedup-window") == 0) {
       if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
@@ -1696,7 +1674,6 @@ int CmdCoordinate(int argc, char** argv) {
         "usage: autovac coordinate --socket <s> <sample.asm>...\n"
         "                          [--journal <f>] [--resume]\n"
         "                          [--lease-ms <n>] [--threads <n>]\n"
-        "                          [--queue <n>] [--deadline-ms <n>]\n"
         "                          [--store <f>] [--campaign-out <f>]\n"
         "                          [--linger-ms <n>] [pipeline flags]\n"
         "Shards the samples across remote detonation workers under\n"
@@ -1747,17 +1724,6 @@ int CmdCoordinate(int argc, char** argv) {
         return 2;
       }
       options.threads = static_cast<size_t>(threads);
-    } else if (std::strcmp(arg, "--queue") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      const long long queue = std::strtoll(value, nullptr, 0);
-      if (queue <= 0) {
-        std::fprintf(stderr, "error: --queue requires at least 1\n");
-        return 2;
-      }
-      options.max_pending = static_cast<size_t>(queue);
-    } else if (std::strcmp(arg, "--deadline-ms") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      options.deadline_ms = std::strtoull(value, nullptr, 0);
     } else if (std::strcmp(arg, "--store") == 0) {
       if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
       options.store_path = value;
