@@ -3,9 +3,14 @@
 // <API-name, Caller-PC, parameter list> — is equivalent, and return the
 // unaligned difference sets Δm (mutated-only) and Δn (natural-only).
 //
-// We align with a longest-common-subsequence over the context triples,
-// which subsumes the paper's linear anchor search and stays stable when
-// the mutation changes an early branch.
+// The alignment is an exact longest common subsequence of the context
+// triples at every trace length. The common prefix aligns call for call,
+// a call whose triple the other remainder lacks can never align, and the
+// rest goes through the O(NP) diff of Wu, Manber, Myers and Miller: with
+// P unaligned calls of the shorter side, O((n+m)·P) time per level of an
+// O(log(n+m))-deep recursion and O(n+m) memory. Among equally long
+// alignments the one returned may differ from an LCS-table traceback's;
+// the match count, and so the sizes of Δn and Δm, never does.
 #pragma once
 
 #include <cstdint>
@@ -30,22 +35,10 @@ struct Alignment {
   // Unaligned calls, as indices into the respective traces.
   std::vector<uint32_t> delta_natural;   // Δn
   std::vector<uint32_t> delta_mutated;   // Δm
-
-  [[nodiscard]] double MatchRatio(size_t natural_size) const {
-    return natural_size == 0
-               ? 1.0
-               : static_cast<double>(matches.size()) /
-                     static_cast<double>(natural_size);
-  }
 };
 
 [[nodiscard]] Alignment AlignTraces(const trace::ApiTrace& natural,
                                     const trace::ApiTrace& mutated,
                                     const AlignmentOptions& options = {});
-
-// Context-triple equivalence used by the LCS.
-[[nodiscard]] bool CallsAligned(const trace::ApiCallRecord& a,
-                                const trace::ApiCallRecord& b,
-                                const AlignmentOptions& options);
 
 }  // namespace autovac::analysis

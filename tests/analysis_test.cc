@@ -3,11 +3,16 @@
 // collection, and determinism analysis with slice extraction/replay.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+
 #include "analysis/alignment.h"
 #include "analysis/determinism.h"
 #include "analysis/exclusiveness.h"
 #include "analysis/immunization.h"
 #include "analysis/impact.h"
+#include "evasion/corpus.h"
+#include "malware/corpus.h"
 #include "sandbox/sandbox.h"
 #include "support/strings.h"
 #include "vaccine/delivery.h"
@@ -43,7 +48,6 @@ TEST(Alignment, IdenticalTracesFullyAligned) {
   EXPECT_EQ(alignment.matches.size(), 3u);
   EXPECT_TRUE(alignment.delta_natural.empty());
   EXPECT_TRUE(alignment.delta_mutated.empty());
-  EXPECT_DOUBLE_EQ(alignment.MatchRatio(3), 1.0);
 }
 
 TEST(Alignment, MissingSuffixLandsInDeltaNatural) {
@@ -97,12 +101,11 @@ TEST(Alignment, IdentifierDistinguishesResources) {
   EXPECT_EQ(AlignTraces(natural, mutated, loose).matches.size(), 1u);
 }
 
-TEST(Alignment, HugeTracesUseGreedyFallback) {
-  // Beyond the LCS cell budget the aligner switches to the linear anchor
-  // search (the paper's own Algorithm 1); results must stay sensible.
+TEST(Alignment, HugeTracesAlignExactly) {
+  // Traces far beyond any quadratic table still align exactly.
   trace::ApiTrace natural;
   trace::ApiTrace mutated;
-  constexpr size_t kBig = 8000;  // 8000^2 cells > the 32M budget
+  constexpr size_t kBig = 8000;
   for (size_t i = 0; i < kBig; ++i) {
     auto call = Call(i % 2 == 0 ? "send" : "recv",
                      static_cast<uint32_t>(i % 16));
@@ -127,7 +130,259 @@ TEST(Alignment, EmptyTraces) {
   EXPECT_EQ(a.delta_mutated.size(), 1u);
   auto b = AlignTraces(trace, empty);
   EXPECT_EQ(b.delta_natural.size(), 1u);
-  EXPECT_DOUBLE_EQ(b.MatchRatio(0), 1.0);
+  EXPECT_TRUE(b.matches.empty());
+}
+
+// `count` calls at distinct call sites, pcs from `first_pc` on.
+trace::ApiTrace DistinctSites(size_t count, uint32_t first_pc,
+                              const std::string& api = "GetTickCount") {
+  trace::ApiTrace trace;
+  for (size_t i = 0; i < count; ++i) {
+    trace.calls.push_back(Call(api, first_pc + static_cast<uint32_t>(i) * 4));
+    trace.calls.back().sequence = static_cast<uint32_t>(i);
+  }
+  return trace;
+}
+
+std::vector<uint32_t> Iota(uint32_t from, uint32_t to) {
+  std::vector<uint32_t> out;
+  for (uint32_t i = from; i < to; ++i) out.push_back(i);
+  return out;
+}
+
+TEST(Alignment, SkippedBlockInLongTraceAlignsExactly) {
+  // 6,001 x 5,701 calls (34.2M table cells): an aligner that gives up on
+  // long traces for a windowed anchor search loses every call after the
+  // 300-call skipped block and reads the lost sends as a self-termination.
+  trace::ApiTrace natural = DistinctSites(3000, 0x1000);
+  const trace::ApiTrace sends = DistinctSites(300, 0x8000, "send");
+  const trace::ApiTrace tail = DistinctSites(2700, 0x10000);
+  natural.calls.insert(natural.calls.end(), sends.calls.begin(),
+                       sends.calls.end());
+  natural.calls.insert(natural.calls.end(), tail.calls.begin(),
+                       tail.calls.end());
+  natural.calls.push_back(Call("ExitProcess", 0x20000));
+  trace::ApiTrace mutated = natural;
+  mutated.calls.erase(mutated.calls.begin() + 3000,
+                      mutated.calls.begin() + 3300);
+  ASSERT_EQ(natural.calls.size(), 6001u);
+
+  auto alignment = AlignTraces(natural, mutated);
+  EXPECT_EQ(alignment.matches.size(), 5701u);
+  EXPECT_EQ(alignment.delta_natural, Iota(3000, 3300));
+  EXPECT_TRUE(alignment.delta_mutated.empty());
+  EXPECT_EQ(ClassifyImmunization(natural, mutated).type,
+            ImmunizationType::kTypeIINetwork);
+}
+
+// Aligns `natural` against `mutated` within `seconds`, as the cost shape
+// of the aligner must not depend on how a sample arranged its calls.
+Alignment AlignWithin(const trace::ApiTrace& natural,
+                      const trace::ApiTrace& mutated, double seconds) {
+  const auto start = std::chrono::steady_clock::now();
+  Alignment alignment = AlignTraces(natural, mutated);
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_LT(took.count(), seconds);
+  return alignment;
+}
+
+TEST(Alignment, EarlyExitOfLongTraceIsLinear) {
+  // Full immunization: the mutated run stops after 100 calls.
+  const trace::ApiTrace natural = DistinctSites(100001, 0x1000);
+  trace::ApiTrace mutated = DistinctSites(100, 0x1000);
+  mutated.calls.push_back(Call("ExitProcess", 0x900000));
+  auto alignment = AlignWithin(natural, mutated, 2.0);
+  EXPECT_EQ(alignment.matches.size(), 100u);
+  EXPECT_EQ(alignment.delta_natural, Iota(100, 100001));
+  EXPECT_EQ(alignment.delta_mutated, std::vector<uint32_t>{100});
+}
+
+TEST(Alignment, DifferentFirstCallOfLongTraceIsLinear) {
+  const trace::ApiTrace natural = DistinctSites(100001, 0x1000);
+  trace::ApiTrace mutated = natural;
+  mutated.calls[0].caller_pc = 0x900000;
+  auto alignment = AlignWithin(natural, mutated, 2.0);
+  ASSERT_EQ(alignment.matches.size(), 100000u);
+  EXPECT_EQ(alignment.matches.front(), std::make_pair(1u, 1u));
+  EXPECT_EQ(alignment.matches.back(), std::make_pair(100000u, 100000u));
+  EXPECT_EQ(alignment.delta_natural, std::vector<uint32_t>{0});
+  EXPECT_EQ(alignment.delta_mutated, std::vector<uint32_t>{0});
+}
+
+TEST(Alignment, DisjointLongTracesAreLinear) {
+  const trace::ApiTrace natural = DistinctSites(100001, 0x1000);
+  const trace::ApiTrace mutated = DistinctSites(100001, 0x100000);
+  auto alignment = AlignWithin(natural, mutated, 2.0);
+  EXPECT_TRUE(alignment.matches.empty());
+  EXPECT_EQ(alignment.delta_natural.size(), 100001u);
+  EXPECT_EQ(alignment.delta_mutated.size(), 100001u);
+}
+
+// The reference: the full (n+1)x(m+1) LCS table with its traceback, which
+// takes a match whenever one is optimal and otherwise skips the natural
+// call first.
+bool SameContext(const trace::ApiCallRecord& a, const trace::ApiCallRecord& b,
+                 const AlignmentOptions& options) {
+  return a.api_name == b.api_name &&
+         (!options.use_caller_pc || a.caller_pc == b.caller_pc) &&
+         (!options.use_identifier ||
+          a.resource_identifier == b.resource_identifier);
+}
+
+Alignment ReferenceAlign(const trace::ApiTrace& natural,
+                         const trace::ApiTrace& mutated,
+                         const AlignmentOptions& options) {
+  const size_t n = natural.calls.size();
+  const size_t m = mutated.calls.size();
+  std::vector<std::vector<uint32_t>> lcs(n + 1,
+                                         std::vector<uint32_t>(m + 1, 0));
+  for (size_t i = n; i-- > 0;) {
+    for (size_t j = m; j-- > 0;) {
+      lcs[i][j] = SameContext(natural.calls[i], mutated.calls[j], options)
+                      ? lcs[i + 1][j + 1] + 1
+                      : std::max(lcs[i + 1][j], lcs[i][j + 1]);
+    }
+  }
+  Alignment alignment;
+  size_t i = 0;
+  size_t j = 0;
+  while (i < n && j < m) {
+    if (SameContext(natural.calls[i], mutated.calls[j], options) &&
+        lcs[i][j] == lcs[i + 1][j + 1] + 1) {
+      alignment.matches.emplace_back(static_cast<uint32_t>(i),
+                                     static_cast<uint32_t>(j));
+      ++i;
+      ++j;
+    } else if (lcs[i + 1][j] >= lcs[i][j + 1]) {
+      alignment.delta_natural.push_back(static_cast<uint32_t>(i++));
+    } else {
+      alignment.delta_mutated.push_back(static_cast<uint32_t>(j++));
+    }
+  }
+  for (; i < n; ++i) {
+    alignment.delta_natural.push_back(static_cast<uint32_t>(i));
+  }
+  for (; j < m; ++j) {
+    alignment.delta_mutated.push_back(static_cast<uint32_t>(j));
+  }
+  return alignment;
+}
+
+// An alignment is exact when it is as long as the reference's, its
+// matches are increasing and context-equal, and Δn/Δm are exactly the
+// unmatched calls.
+void ExpectExact(const trace::ApiTrace& natural, const trace::ApiTrace& mutated,
+                 const AlignmentOptions& options, const Alignment& alignment) {
+  EXPECT_EQ(alignment.matches.size(),
+            ReferenceAlign(natural, mutated, options).matches.size());
+  std::vector<bool> natural_matched(natural.calls.size(), false);
+  std::vector<bool> mutated_matched(mutated.calls.size(), false);
+  for (size_t k = 0; k < alignment.matches.size(); ++k) {
+    const auto [i, j] = alignment.matches[k];
+    ASSERT_LT(i, natural.calls.size());
+    ASSERT_LT(j, mutated.calls.size());
+    if (k > 0) {
+      EXPECT_LT(alignment.matches[k - 1].first, i);
+      EXPECT_LT(alignment.matches[k - 1].second, j);
+    }
+    EXPECT_TRUE(SameContext(natural.calls[i], mutated.calls[j], options));
+    natural_matched[i] = mutated_matched[j] = true;
+  }
+  auto unmatched = [](const std::vector<bool>& matched) {
+    std::vector<uint32_t> out;
+    for (size_t i = 0; i < matched.size(); ++i) {
+      if (!matched[i]) out.push_back(static_cast<uint32_t>(i));
+    }
+    return out;
+  };
+  EXPECT_EQ(alignment.delta_natural, unmatched(natural_matched));
+  EXPECT_EQ(alignment.delta_mutated, unmatched(mutated_matched));
+}
+
+std::vector<AlignmentOptions> AllAlignmentOptions() {
+  std::vector<AlignmentOptions> all;
+  for (bool pc : {true, false}) {
+    for (bool identifier : {true, false}) {
+      AlignmentOptions options;
+      options.use_caller_pc = pc;
+      options.use_identifier = identifier;
+      all.push_back(options);
+    }
+  }
+  return all;
+}
+
+trace::ApiTrace RandomTrace(Rng& rng, size_t length, uint64_t alphabet) {
+  static const char* const kApis[] = {"A", "B", "C", "D"};
+  trace::ApiTrace trace;
+  for (size_t i = 0; i < length; ++i) {
+    const char* api = kApis[rng.NextBelow(alphabet)];
+    const auto pc = static_cast<uint32_t>(rng.NextBelow(alphabet));
+    const auto resource = static_cast<unsigned>(rng.NextBelow(alphabet));
+    trace.calls.push_back(Call(api, pc, StrFormat("r%u", resource)));
+    trace.calls.back().sequence = static_cast<uint32_t>(i);
+  }
+  return trace;
+}
+
+TEST(Alignment, RandomPairsMatchReferenceLength) {
+  Rng rng(2013);
+  for (int pair = 0; pair < 2000; ++pair) {
+    const uint64_t alphabet = 1 + rng.NextBelow(4);
+    const trace::ApiTrace natural =
+        RandomTrace(rng, rng.NextBelow(41), alphabet);
+    trace::ApiTrace mutated = RandomTrace(rng, rng.NextBelow(41), alphabet);
+    if (rng.NextBool()) {  // share a prefix, as snapshot resumes do
+      const size_t shared = rng.NextBelow(
+          std::min(natural.calls.size(), mutated.calls.size()) + 1);
+      std::copy_n(natural.calls.begin(), shared, mutated.calls.begin());
+    }
+    for (const AlignmentOptions& options : AllAlignmentOptions()) {
+      SCOPED_TRACE(StrFormat("pair %d", pair));
+      ExpectExact(natural, mutated, options,
+                  AlignTraces(natural, mutated, options));
+    }
+  }
+}
+
+// Every (natural, mutated) trace pair a corpus sample's impact analysis
+// produces on the pipeline's default machine.
+void ExpectCorpusPairsMatchReference(const vm::Program& sample) {
+  const os::HostEnvironment baseline = os::HostEnvironment::StandardMachine(7);
+  os::HostEnvironment env = baseline;
+  const auto natural = sandbox::RunProgram(sample, env, {}).api_trace;
+  for (const MutationTarget& target : CollectMutationTargets(natural)) {
+    const auto mutated =
+        RunImpactAnalysis(sample, baseline, natural, target).mutated_trace;
+    const Alignment expected = ReferenceAlign(natural, mutated, {});
+    const Alignment actual = AlignTraces(natural, mutated);
+    EXPECT_EQ(actual.matches, expected.matches) << sample.name;
+    EXPECT_EQ(actual.delta_natural, expected.delta_natural) << sample.name;
+    EXPECT_EQ(actual.delta_mutated, expected.delta_mutated) << sample.name;
+  }
+}
+
+TEST(Alignment, TableIICorpusPairsMatchReference) {
+  malware::CorpusOptions options;
+  options.seed = 1;
+  options.total = 48;
+  auto corpus = malware::GenerateCorpus(options);
+  ASSERT_TRUE(corpus.ok());
+  for (const malware::CorpusSample& sample : *corpus) {
+    ExpectCorpusPairsMatchReference(sample.program);
+  }
+}
+
+TEST(Alignment, EvasiveCorpusPairsMatchReference) {
+  evasion::EvasiveCorpusOptions options;
+  options.seed = 1;
+  options.per_class = 8;
+  auto corpus = evasion::GenerateEvasiveCorpus(options);
+  ASSERT_TRUE(corpus.ok());
+  for (const evasion::EvasiveSample& sample : *corpus) {
+    ExpectCorpusPairsMatchReference(sample.program);
+  }
 }
 
 // ---- immunization classification ---------------------------------------

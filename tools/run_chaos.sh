@@ -4,7 +4,7 @@
 # the sanitizers. Any injected-fault path that corrupts memory or trips
 # UB fails loudly here rather than silently in a campaign.
 #
-# The default run covers all four chaos surfaces:
+# The default run covers all four chaos surfaces, plus the aligner:
 #   * chaos_test    — VM / analysis fault injection
 #   * netchaos_test — wire faults: refused connects, mid-frame cuts,
 #                     short reads/writes, EINTR, duplicate delivery,
@@ -17,6 +17,8 @@
 #                     the byte-identity of SMC reports across the
 #                     snapshot fast path, mutation threads, jobs, and
 #                     journal resume
+#   * analysis_test — the trace aligner's computed diagonal offsets,
+#                     differentially checked against an LCS table
 #
 # The fleet CLI drill (tools/run_fleet_chaos.sh) layers the same kill
 # matrix over the `autovac coordinate` / `detonate-worker` surface;
@@ -59,6 +61,7 @@ else
   "$build_dir/tests/netchaos_test"
   "$build_dir/tests/fleet_test"
   "$build_dir/tests/evasion_test"
+  "$build_dir/tests/analysis_test"
 fi
 if [[ "$fleet_drill" == 1 ]]; then
   tools/run_fleet_chaos.sh "$build_dir"
