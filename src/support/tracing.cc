@@ -84,6 +84,24 @@ std::vector<PhaseTotal> Tracer::PhaseTotals(size_t first_span) const {
   return out;
 }
 
+std::vector<PhaseTotal> MergePhaseTotals(
+    const std::vector<const std::vector<PhaseTotal>*>& sources) {
+  std::map<std::string, PhaseTotal> merged;
+  for (const std::vector<PhaseTotal>* source : sources) {
+    for (const PhaseTotal& cost : *source) {
+      PhaseTotal& total = merged[cost.name];
+      total.name = cost.name;
+      total.spans += cost.spans;
+      total.ticks += cost.ticks;
+      total.wall_ns += cost.wall_ns;
+    }
+  }
+  std::vector<PhaseTotal> out;
+  out.reserve(merged.size());
+  for (auto& [name, total] : merged) out.push_back(std::move(total));
+  return out;
+}
+
 Tracer& GlobalTracer() {
   static Tracer* tracer = new Tracer();
   return *tracer;

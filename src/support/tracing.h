@@ -52,6 +52,12 @@ struct PhaseTotal {
   uint64_t wall_ns = 0;  // informational
 };
 
+// Sums the totals of every source per phase name into one rollup sorted
+// by name (the order Tracer::PhaseTotals produces), e.g. per-sample costs
+// into campaign totals.
+[[nodiscard]] std::vector<PhaseTotal> MergePhaseTotals(
+    const std::vector<const std::vector<PhaseTotal>*>& sources);
+
 class Tracer {
  public:
   using TickClock = std::function<uint64_t()>;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "support/digest.h"
+#include "support/flags.h"
 #include "support/interner.h"
 #include "support/logging.h"
 #include "support/pattern.h"
@@ -57,7 +58,7 @@ TEST(Result, HoldsError) {
 
 TEST(Result, ValueOnErrorThrows) {
   Result<int> result(Status::Internal("boom"));
-  EXPECT_THROW(result.value(), std::logic_error);
+  EXPECT_THROW((void)result.value(), std::logic_error);
 }
 
 TEST(Result, ConstructingFromOkStatusThrows) {
@@ -251,7 +252,9 @@ TEST_P(PatternRoundTrip, LiteralSelfMatch) {
   if (!id.empty()) {
     std::string mutated = id;
     mutated[0] = mutated[0] == 'z' ? 'y' : 'z';
-    if (mutated != id) EXPECT_FALSE(pattern.Matches(mutated));
+    if (mutated != id) {
+      EXPECT_FALSE(pattern.Matches(mutated));
+    }
   }
 }
 
@@ -383,7 +386,7 @@ TEST(Interner, DedupsAndLooksUp) {
 
 TEST(Interner, LookupOutOfRangeThrows) {
   StringInterner interner;
-  EXPECT_THROW(interner.Lookup(5), std::logic_error);
+  EXPECT_THROW((void)interner.Lookup(5), std::logic_error);
 }
 
 // ---- TextTable ---------------------------------------------------------------
@@ -464,6 +467,135 @@ TEST(Logging, SetLogSinkReturnsPrevious) {
   LogSink* original = SetLogSink(&first);
   EXPECT_EQ(SetLogSink(&second), &first);
   EXPECT_EQ(SetLogSink(original), &second);
+}
+
+// ---- Flag tables -------------------------------------------------------
+
+TEST(FlagNumbers, UnsignedMustBeWholeAndInRange) {
+  EXPECT_EQ(ParseFlagUnsigned("12", UINT64_MAX).value(), 12u);
+  // Base 0: hex seeds still parse.
+  EXPECT_EQ(ParseFlagUnsigned("0x10", UINT64_MAX).value(), 16u);
+  EXPECT_EQ(ParseFlagUnsigned("18446744073709551615", UINT64_MAX).value(),
+            UINT64_MAX);
+  EXPECT_FALSE(ParseFlagUnsigned("12abc", UINT64_MAX).ok());
+  EXPECT_FALSE(ParseFlagUnsigned("-1", UINT64_MAX).ok());
+  EXPECT_FALSE(ParseFlagUnsigned("", UINT64_MAX).ok());
+  EXPECT_FALSE(ParseFlagUnsigned(" 5", UINT64_MAX).ok());
+  EXPECT_FALSE(ParseFlagUnsigned("+5", UINT64_MAX).ok());
+  EXPECT_FALSE(ParseFlagUnsigned("18446744073709551616", UINT64_MAX).ok());
+  EXPECT_FALSE(ParseFlagUnsigned("4294967296", UINT32_MAX).ok());
+  EXPECT_EQ(ParseFlagUnsigned("4294967295", UINT32_MAX).value(), UINT32_MAX);
+}
+
+TEST(FlagNumbers, DoubleMustBeWholeAndFinite) {
+  EXPECT_DOUBLE_EQ(ParseFlagDouble("0.25").value(), 0.25);
+  EXPECT_DOUBLE_EQ(ParseFlagDouble("-1.5").value(), -1.5);
+  EXPECT_FALSE(ParseFlagDouble("nan").ok());
+  EXPECT_FALSE(ParseFlagDouble("inf").ok());
+  EXPECT_FALSE(ParseFlagDouble("1e999").ok());
+  EXPECT_FALSE(ParseFlagDouble("0.5x").ok());
+  EXPECT_FALSE(ParseFlagDouble("").ok());
+  EXPECT_FALSE(ParseFlagDouble(" 1").ok());
+}
+
+struct Parsed {
+  std::string out;
+  bool verbose = false;
+  uint64_t seed = 7;
+  uint32_t depth = 0;
+  size_t jobs = 1;
+  double rate = 0.5;
+};
+
+FlagTable MakeTable(Parsed* parsed) {
+  FlagTable flags("autovac demo <in>... [options]", "Demo command.\n");
+  flags.String("--out", "f", "output file", &parsed->out);
+  flags.Switch("--verbose", "talk more", &parsed->verbose);
+  flags.Unsigned("--seed", "n", "seed", &parsed->seed);
+  flags.Unsigned("--max-call-depth", "n", "depth cap", &parsed->depth);
+  flags.Unsigned("--jobs", "n", "workers", &parsed->jobs, 1);
+  flags.Double("--rate", "p", "probability", &parsed->rate);
+  return flags;
+}
+
+TEST(FlagTable, StoresValuesAndCollectsPositionals) {
+  Parsed parsed;
+  FlagTable flags = MakeTable(&parsed);
+  ASSERT_TRUE(flags
+                  .Parse({"a.asm", "--seed", "0x10", "b.asm", "--verbose",
+                          "--out", "o.txt", "--rate", "0.25", "c.asm"})
+                  .ok());
+  EXPECT_EQ(flags.positionals(),
+            (std::vector<std::string>{"a.asm", "b.asm", "c.asm"}));
+  EXPECT_EQ(parsed.seed, 16u);
+  EXPECT_TRUE(parsed.verbose);
+  EXPECT_EQ(parsed.out, "o.txt");
+  EXPECT_DOUBLE_EQ(parsed.rate, 0.25);
+  EXPECT_TRUE(flags.Seen("--seed"));
+  EXPECT_FALSE(flags.Seen("--jobs"));
+  EXPECT_EQ(parsed.jobs, 1u);  // untouched defaults survive
+  EXPECT_FALSE(flags.help_requested());
+}
+
+TEST(FlagTable, RejectsMalformedNumbers) {
+  for (const std::vector<std::string>& args :
+       std::vector<std::vector<std::string>>{
+           {"--seed", "12abc"},
+           {"--seed", "-1"},
+           {"--seed", ""},
+           // Would wrap to 0, which means "no cap".
+           {"--max-call-depth", "4294967296"},
+           {"--rate", "nan"},
+       }) {
+    Parsed parsed;
+    FlagTable flags = MakeTable(&parsed);
+    const Status status = flags.Parse(args);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << args[0];
+    EXPECT_NE(status.message().find(args[0]), std::string::npos)
+        << status.message();
+    EXPECT_EQ(parsed.seed, 7u);
+    EXPECT_EQ(parsed.depth, 0u);
+  }
+}
+
+TEST(FlagTable, EnforcesTheMinimum) {
+  Parsed parsed;
+  FlagTable flags = MakeTable(&parsed);
+  const Status status = flags.Parse({"--jobs", "0"});
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("at least 1"), std::string::npos);
+  Parsed ok;
+  FlagTable accepts = MakeTable(&ok);
+  ASSERT_TRUE(accepts.Parse({"--jobs", "1"}).ok());
+  EXPECT_EQ(ok.jobs, 1u);
+}
+
+TEST(FlagTable, RejectsUnknownFlagsAndMissingValues) {
+  Parsed parsed;
+  FlagTable unknown = MakeTable(&parsed);
+  EXPECT_EQ(unknown.Parse({"a.asm", "--bogus"}).message(),
+            "unknown option '--bogus'");
+  // No abbreviations and no --flag=value spelling.
+  FlagTable prefix = MakeTable(&parsed);
+  EXPECT_FALSE(prefix.Parse({"--se", "1"}).ok());
+  FlagTable equals = MakeTable(&parsed);
+  EXPECT_FALSE(equals.Parse({"--seed=1"}).ok());
+  FlagTable missing = MakeTable(&parsed);
+  EXPECT_EQ(missing.Parse({"--out"}).message(),
+            "option '--out' requires a value");
+}
+
+TEST(FlagTable, HelpIsGeneratedFromTheTable) {
+  Parsed parsed;
+  FlagTable flags = MakeTable(&parsed);
+  ASSERT_TRUE(flags.Parse({"--bogus", "-h"}).ok());
+  EXPECT_TRUE(flags.help_requested());
+  const std::string usage = flags.Usage();
+  EXPECT_EQ(usage.rfind("usage: autovac demo <in>... [options]\n", 0), 0u);
+  for (const char* line : {"--out <f>", "--verbose ", "--seed <n>",
+                           "--rate <p>", "-h, --help", "Demo command."}) {
+    EXPECT_NE(usage.find(line), std::string::npos) << line;
+  }
 }
 
 }  // namespace

@@ -1,77 +1,9 @@
 // autovac — command-line front end for the AUTOVAC pipeline.
 //
-//   autovac analyze <sample.asm> [--no-exclusiveness] [--no-clinic]
-//                                 [--package <out.pkg>] [--report <out.md>]
-//                                 [--fault-seed <n>] [--fault-rate <p>]
-//                                 [--max-api-calls <n>] [--max-call-depth <n>]
-//                                 [--metrics-out <m.jsonl>]
-//                                 [--trace-out <t.json>]
-//                                 [--mutation-threads <n>]
-//                                 [--no-snapshot-replay]
-//       Run Phase I+II on an assembly sample, clinic-test the extracted
-//       vaccines against the benign corpus, and print the survivors.
-//       --fault-seed runs the whole analysis under a deterministic
-//       randomized fault schedule (resilience testing); the limit flags
-//       cap the execution envelope. --metrics-out dumps the process
-//       metrics registry as JSONL; --trace-out writes a Chrome
-//       trace_event file (load via chrome://tracing or Perfetto) whose
-//       timestamps are VM instruction counts, so same-seed runs produce
-//       identical span trees.
-//   autovac campaign <sample.asm>... [analyze options]
-//                    [--jobs <n>] [--journal <f>] [--resume]
-//                    [--sample-deadline-ms <n>] [--stop-after <n>]
-//                    [--campaign-out <f>]
-//       Analyze a wave of samples with crash isolation and print the
-//       per-sample dashboard plus campaign phase-cost totals. --journal
-//       makes the campaign durable: every completed sample is fsync'd to
-//       a write-ahead journal and --resume re-runs only the missing
-//       ones, producing the same report bytes as an uninterrupted run.
-//       --jobs > 1 or --sample-deadline-ms > 0 shards samples across
-//       forked worker processes so a crashing or hanging sample becomes
-//       a failed row, never a dead campaign. Exit code 3 means the run
-//       stopped early (--stop-after) with the journal intact.
-//   autovac test <sample.asm> <package.pkg>
-//       Deploy a package on a fresh machine and re-run the sample against
-//       it (normal vs vaccinated comparison + BDR).
-//   autovac trace <sample.asm> [--out <trace.txt>]
-//       Run the sample once and dump the serialized API trace.
-//   autovac disasm <sample.asm>
-//       Assemble and print the program listing.
-//   autovac serve --socket <s> [--store <f>] [options]
-//       Run vacd, the vaccine store + distribution server, until
-//       SIGINT/SIGTERM. --store makes the feed durable (JSONL, fsync'd).
-//   autovac push --socket <s> <package.pkg>...
-//       Ingest packages into a running vacd (deduped by content digest).
-//   autovac query --socket <s> --resource <type> <identifier>
-//       Ask vacd which served vaccines match an identifier. Exit 0 on a
-//       match, 1 when nothing matches.
-//   autovac pull --socket <s> [--since <epoch>] [--out <f>]
-//       Delta-sync the vaccine feed since an epoch; the feed page is the
-//       server's reply JSON, byte-identical across server restarts.
-//   autovac chaos-proxy --listen <s> --backend <s> --fault-seed <n>
-//       Relay vacd traffic through a deterministic wire-fault injector
-//       (refused connects, torn frames, stalls, duplicate delivery) to
-//       rehearse client retry behaviour against a real server.
-//   autovac status --socket <s>
-//       Print a running vacd's operational counters, including the
-//       recovery telemetry (checkpoint epoch, records replayed at load,
-//       push dedup hits).
-//   autovac coordinate --socket <s> <sample.asm>... [--journal <f>]
-//       Run the fleet coordinator: shard the samples across remote
-//       detonation workers under leases, journal progress write-ahead,
-//       and merge the uploads into a campaign report byte-identical to
-//       a fault-free single-host run.
-//   autovac detonate-worker --socket <s> <sample.asm>...
-//       Run one detonation worker against a coordinator: claim a
-//       sample, analyze it under a heartbeat-renewed lease, upload the
-//       report, repeat until the campaign is done. The worker needs the
-//       same corpus files and pipeline flags as the coordinator, or its
-//       claims are refused.
-//   autovac corpus --out <dir> [--seed <n>] [--per-class <n>]
-//                  [--evasion <class>[,<class>...]]
-//       Generate the adversarial evasion corpus as .asm files. The same
-//       seed writes byte-identical sources; unknown class names are
-//       rejected (exit 2).
+// `autovac --help` lists the commands; `autovac <command> --help` is the
+// reference for a command's flags. Both are generated from the command
+// table at the bottom of this file and each command's flag table
+// (support/flags.h), so what is documented is exactly what is accepted.
 //
 // Samples are written in the sandbox assembly dialect (see
 // src/vm/assembler.h); everything runs inside the simulator — no real
@@ -83,10 +15,8 @@
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <thread>
 
@@ -105,6 +35,7 @@
 #include "net/server.h"
 #include "net/sync.h"
 #include "sandbox/sandbox.h"
+#include "support/flags.h"
 #include "support/metrics.h"
 #include "support/strings.h"
 #include "support/table.h"
@@ -124,163 +55,21 @@ using namespace autovac;
 
 namespace {
 
-void PrintUsage(std::FILE* out) {
-  std::fprintf(
-      out,
-      "usage: autovac <command> [arguments] [options]\n"
-      "  analyze  <sample.asm> [options]\n"
-      "  campaign <sample.asm>... [options]\n"
-      "  test     <sample.asm> <package.pkg>\n"
-      "  trace    <sample.asm> [--out trace.txt]\n"
-      "  disasm   <sample.asm>\n"
-      "  serve    --socket <s> [--store <f>] [--tcp <host:port>]\n"
-      "           [serving options]\n"
-      "  push     --socket <s> <package.pkg>...\n"
-      "  query    --socket <s> --resource <type> <identifier>\n"
-      "  pull     --socket <s> [--since <epoch>] [--out <f>]\n"
-      "  sync     --socket <s> [--page <n>] [--out <f>] [--binary]\n"
-      "  quarantine --socket <s> <digest> [--reason <s>]\n"
-      "  chaos-proxy --listen <s> --backend <s> [--fault-seed <n>]\n"
-      "  status   --socket <s>\n"
-      "  coordinate --socket <s> <sample.asm>... [fleet options]\n"
-      "  detonate-worker --socket <s> <sample.asm>... [fleet options]\n"
-      "  corpus   --out <dir> [--seed <n>] [--per-class <n>]\n"
-      "           [--evasion <class>[,<class>...]]\n"
-      "analyze/campaign options:\n"
-      "  --no-exclusiveness   skip the benign-corpus exclusiveness filter\n"
-      "  --no-clinic          skip the malware-clinic safety test\n"
-      "  --package <out.pkg>  write clinic-passed vaccines as a package\n"
-      "  --report <out.md>    write the full markdown report\n"
-      "  --fault-seed <n>     inject deterministic faults from seed n\n"
-      "  --fault-rate <p>     fault probability per API call (default "
-      "0.02)\n"
-      "  --max-api-calls <n>  cap API calls per sandbox run\n"
-      "  --max-call-depth <n> cap the shadow call-stack depth\n"
-      "  --metrics-out <f>    dump the metrics registry as JSONL\n"
-      "  --trace-out <f>      write a Chrome trace_event JSON file\n"
-      "  --mutation-threads <n>  run Phase-II mutation re-runs on n worker\n"
-      "                       threads (default 1); reports are byte-\n"
-      "                       identical for any n\n"
-      "  --no-snapshot-replay disable the machine-snapshot fast path for\n"
-      "                       mutation re-runs (full prefix replay)\n"
-      "campaign durability options:\n"
-      "  --jobs <n>           analyze up to n samples in parallel worker\n"
-      "                       processes (crash-isolated; default 1)\n"
-      "  --journal <f>        write-ahead journal: fsync one record per\n"
-      "                       completed sample\n"
-      "  --resume             skip samples already completed in --journal\n"
-      "  --sample-deadline-ms <n>  SIGKILL a worker stuck on one sample\n"
-      "                       longer than n ms (implies worker mode)\n"
-      "  --stop-after <n>     stop cleanly after n samples (exit code 3)\n"
-      "  --campaign-out <f>   write the campaign report as JSON\n"
-      "vacd serving options (serve):\n"
-      "  --store <f>          durable store file (JSONL, created if absent)\n"
-      "  --threads <n>        request worker threads (default 4)\n"
-      "  --checkpoint-every <n>  checkpoint the store every n accepted\n"
-      "                       vaccines (and on shutdown), so a restart\n"
-      "                       replays only the delta since the checkpoint\n"
-      "  --dedup-window <n>   push replies remembered for idempotent\n"
-      "                       retries (default 128, 0 disables)\n"
-      "  --no-exclusiveness   skip the benign-conflict quarantine scan\n"
-      "  --tcp <host:port>    also listen on TCP (port 0 = ephemeral,\n"
-      "                       printed on the readiness line). Loopback\n"
-      "                       only unless the network is trusted: no auth\n"
-      "                       yet\n"
-      "  --max-connections <n>  concurrent connections (Unix and TCP)\n"
-      "                       before new connects shed BUSY (default 4096)\n"
-      "  --rate-rps <r>       per-connection sustained requests/second\n"
-      "                       before BUSY (default 0 = unlimited)\n"
-      "  --rate-burst <n>     token-bucket burst size (default 64)\n"
-      "  --idle-timeout-ms <n>  close connections idle this long\n"
-      "                       (default 60000, 0 disables)\n"
-      "vacd client options (push/query/pull/sync/quarantine; --socket\n"
-      "also accepts a TCP endpoint spec 'tcp:host:port' or 'tcp:port'):\n"
-      "  --deadline-ms <n>    request deadline (default 5000)\n"
-      "  --retries <n>        attempts per request (default 1 = no retry);\n"
-      "                       retried pushes carry an idempotency id\n"
-      "  --retry-budget-ms <n>  total retry wall-clock budget before\n"
-      "                       DeadlineExceeded (default 30000)\n"
-      "  --retry-seed <n>     seed for deterministic backoff jitter\n"
-      "  --resource <type>    query: file|registry|mutex|process|window|\n"
-      "                       library|service\n"
-      "  --binary             query/pull/status/sync: compact binary\n"
-      "                       wire encoding for the hot read path\n"
-      "  --since <n>          pull: only vaccines after feed epoch n\n"
-      "  --out <f>            pull/sync: write the feed JSON to a file\n"
-      "  --page <n>           sync: delta-pull page size (0 = unpaged)\n"
-      "  --reason <s>         quarantine: recorded retraction reason\n"
-      "chaos-proxy options:\n"
-      "  --listen <s>         socket the client should connect to\n"
-      "  --backend <s>        the real vacd socket to relay to\n"
-      "  --fault-seed <n>     seed the deterministic fault plan (default 1)\n"
-      "  --fault-rate <p>     per-rule fault probability (default 0.1)\n"
-      "  --deadline-ms <n>    relay socket deadline (default 5000)\n"
-      "fleet options (coordinate/detonate-worker; the pipeline flags\n"
-      "--no-exclusiveness/--max-api-calls/--max-call-depth/\n"
-      "--mutation-threads/--no-snapshot-replay are folded into the\n"
-      "campaign config digest and must match on both sides):\n"
-      "  --journal <f>        coordinate: write-ahead journal; with\n"
-      "                       --resume a SIGKILLed coordinator restarts\n"
-      "                       with only the in-flight delta lost\n"
-      "  --lease-ms <n>       coordinate: lease validity window; a worker\n"
-      "                       that does not renew within it loses the\n"
-      "                       sample to reassignment (default 5000)\n"
-      "  --store <f>          coordinate: stream extracted vaccines into\n"
-      "                       this vacd store file as samples complete\n"
-      "  --campaign-out <f>   coordinate: write the merged campaign\n"
-      "                       report as JSON (byte-identical to a\n"
-      "                       fault-free `autovac campaign` run)\n"
-      "  --linger-ms <n>      coordinate: after the campaign completes,\n"
-      "                       keep serving until the fleet is quiet this\n"
-      "                       long so idle workers observe done instead\n"
-      "                       of a torn socket (default 3000)\n"
-      "  --worker-id <s>      detonate-worker: lease owner name shown in\n"
-      "                       coordinator telemetry (default 'worker')\n"
-      "  --verdicts           detonate-worker: emit the advisory online\n"
-      "                       verdict stream before full analysis\n"
-      "  --max-idle-ms <n>    detonate-worker: give up after polling an\n"
-      "                       idle coordinator this long (default 60000)\n"
-      "quick start (vaccine feed):\n"
-      "  autovac campaign samples/*.asm --package wave.pkg\n"
-      "  autovac serve --socket /tmp/vacd.sock --store feed.jsonl &\n"
-      "  autovac push --socket /tmp/vacd.sock wave.pkg\n"
-      "  autovac query --socket /tmp/vacd.sock --resource mutex BadMutex\n"
-      "  autovac pull --socket /tmp/vacd.sock --since 0\n"
-      "every command also accepts --help.\n");
+// Prints the error and returns exit code 1.
+int ReportError(const Status& status) {
+  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
+  return 1;
 }
 
-int Usage() {
-  PrintUsage(stderr);
-  return 2;
+// Like ReportError, but a server that shed the request (BUSY) exits 4.
+int ReportClientError(const Status& status) {
+  ReportError(status);
+  return net::VacdClient::IsBusy(status) ? 4 : 1;
 }
 
-// True when any argument asks for help; commands print usage to stdout
-// and exit 0 in that case.
-bool WantsHelp(int argc, char** argv) {
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--help") == 0 ||
-        std::strcmp(argv[i], "-h") == 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
-// Strict flag handling: anything starting with "--" that no command
-// recognizes is an error naming the flag, not a silent usage dump.
-int UnknownOption(const char* flag) {
-  std::fprintf(stderr, "error: unknown option '%s'\n", flag);
-  return Usage();
-}
-
-// Returns the flag's value or null (after printing an error) when the
-// value is missing. Advances *i past the value.
-const char* OptionValue(int argc, char** argv, int* i) {
-  if (*i + 1 >= argc) {
-    std::fprintf(stderr, "error: option '%s' requires a value\n", argv[*i]);
-    return nullptr;
-  }
-  return argv[++*i];
+// For commands that take no positional arguments.
+int UnexpectedArgument(const FlagTable& flags) {
+  return flags.Fail("unexpected argument '" + flags.positionals()[0] + "'");
 }
 
 Result<std::string> ReadFileToString(const std::string& path) {
@@ -291,17 +80,46 @@ Result<std::string> ReadFileToString(const std::string& path) {
   return buffer.str();
 }
 
-Status WriteStringToFile(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::Internal("cannot write " + path);
-  out << text;
-  return Status::Ok();
+// Writes `text` to `path`, checking both the write and the close (where a
+// full disk surfaces), so a failed output fails the command. Prints the
+// error and returns false on failure.
+bool WriteOutput(const std::string& path, const std::string& text) {
+  std::FILE* file = std::fopen(path.c_str(), "wb");
+  if (file != nullptr) {
+    const bool wrote =
+        std::fwrite(text.data(), 1, text.size(), file) == text.size();
+    const int write_errno = errno;
+    if (std::fclose(file) == 0 && wrote) return true;
+    if (!wrote) errno = write_errno;
+  }
+  std::fprintf(stderr, "error: cannot write %s: %s\n", path.c_str(),
+               std::strerror(errno));
+  return false;
+}
+
+// Writes `text` to `path`, or to stdout when no path was given.
+bool WriteOutputOrStdout(const std::string& path, const std::string& text) {
+  if (!path.empty()) return WriteOutput(path, text);
+  std::fputs(text.c_str(), stdout);
+  return true;
 }
 
 Result<vm::Program> LoadSample(const std::string& path) {
   auto source = ReadFileToString(path);
   if (!source.ok()) return source.status();
   return sandbox::AssembleForSandbox(source.value());
+}
+
+Result<std::vector<vm::Program>> LoadSamples(
+    const std::vector<std::string>& paths) {
+  std::vector<vm::Program> programs;
+  programs.reserve(paths.size());
+  for (const std::string& path : paths) {
+    auto program = LoadSample(path);
+    if (!program.ok()) return program.status();
+    programs.push_back(std::move(program).value());
+  }
+  return programs;
 }
 
 analysis::ExclusivenessIndex TrainIndex() {
@@ -318,135 +136,80 @@ analysis::ExclusivenessIndex TrainIndex() {
   return index;
 }
 
-// Options shared by `analyze` and `campaign`.
+// The pipeline flags of analyze, campaign, coordinate and
+// detonate-worker, declared straight into the options they set. The
+// fleet folds them into the campaign config digest, so a coordinator and
+// its workers must be given the same ones.
+void AddPipelineFlags(FlagTable& flags, vaccine::PipelineOptions* options) {
+  flags.Switch("--no-exclusiveness",
+               "skip the benign-corpus exclusiveness filter",
+               &options->run_exclusiveness, false);
+  flags.Unsigned("--max-api-calls", "n", "cap API calls per sandbox run",
+                 &options->limits.max_api_calls);
+  flags.Unsigned("--max-call-depth", "n", "cap the shadow call-stack depth",
+                 &options->limits.max_call_depth);
+  flags.Unsigned("--mutation-threads", "n",
+                 "Phase-II mutation re-run threads (default 1)",
+                 &options->mutation_threads, 1);
+  flags.Switch("--no-snapshot-replay",
+               "re-run mutations from the start, not from snapshots",
+               &options->snapshot_replay, false);
+}
+
+// Flags shared by `analyze` and `campaign`.
 struct AnalyzeFlags {
-  bool use_exclusiveness = true;
+  vaccine::PipelineOptions pipeline;
   bool run_clinic = true;
   std::string package_path;
   std::string report_path;
-  bool inject_faults = false;
   uint64_t fault_seed = 0;
   double fault_rate = 0.02;
-  sandbox::RunLimits limits;
   std::string metrics_path;
   std::string trace_path;
-  size_t mutation_threads = 1;
-  bool snapshot_replay = true;
-  // Campaign durability flags (rejected by `analyze`).
-  size_t jobs = 1;
-  uint64_t sample_deadline_ms = 0;
-  std::string journal_path;
-  bool resume = false;
-  size_t stop_after = 0;
-  std::string campaign_out;
-  // Positional (non-flag) arguments, in order.
-  std::vector<std::string> samples;
 };
 
-// Parses analyze/campaign arguments; returns false after printing an
-// error for an unknown flag or a missing value. The durability flags are
-// only recognized with `campaign` true.
-bool ParseAnalyzeFlags(int argc, char** argv, AnalyzeFlags* flags,
-                       bool campaign = false) {
-  for (int i = 0; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--", 2) != 0) {
-      flags->samples.push_back(arg);
-      continue;
-    }
-    const char* value = nullptr;
-    if (std::strcmp(arg, "--no-exclusiveness") == 0) {
-      flags->use_exclusiveness = false;
-    } else if (std::strcmp(arg, "--no-clinic") == 0) {
-      flags->run_clinic = false;
-    } else if (std::strcmp(arg, "--package") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return false;
-      flags->package_path = value;
-    } else if (std::strcmp(arg, "--report") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return false;
-      flags->report_path = value;
-    } else if (std::strcmp(arg, "--fault-seed") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return false;
-      flags->inject_faults = true;
-      flags->fault_seed = std::strtoull(value, nullptr, 0);
-    } else if (std::strcmp(arg, "--fault-rate") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return false;
-      flags->fault_rate = std::strtod(value, nullptr);
-    } else if (std::strcmp(arg, "--max-api-calls") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return false;
-      flags->limits.max_api_calls = std::strtoull(value, nullptr, 0);
-    } else if (std::strcmp(arg, "--max-call-depth") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return false;
-      flags->limits.max_call_depth =
-          static_cast<uint32_t>(std::strtoul(value, nullptr, 0));
-    } else if (std::strcmp(arg, "--metrics-out") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return false;
-      flags->metrics_path = value;
-    } else if (std::strcmp(arg, "--trace-out") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return false;
-      flags->trace_path = value;
-    } else if (std::strcmp(arg, "--mutation-threads") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return false;
-      const long long threads = std::strtoll(value, nullptr, 0);
-      if (threads <= 0) {
-        std::fprintf(stderr,
-                     "error: --mutation-threads requires at least 1\n");
-        return false;
-      }
-      flags->mutation_threads = static_cast<size_t>(threads);
-    } else if (std::strcmp(arg, "--no-snapshot-replay") == 0) {
-      flags->snapshot_replay = false;
-    } else if (campaign && std::strcmp(arg, "--jobs") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return false;
-      // Signed parse so "--jobs -1" is rejected rather than wrapping to a
-      // huge unsigned count.
-      const long long jobs = std::strtoll(value, nullptr, 0);
-      if (jobs <= 0) {
-        std::fprintf(stderr, "error: --jobs requires at least 1\n");
-        return false;
-      }
-      flags->jobs = static_cast<size_t>(jobs);
-    } else if (campaign && std::strcmp(arg, "--journal") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return false;
-      flags->journal_path = value;
-    } else if (campaign && std::strcmp(arg, "--resume") == 0) {
-      flags->resume = true;
-    } else if (campaign && std::strcmp(arg, "--sample-deadline-ms") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return false;
-      flags->sample_deadline_ms = std::strtoull(value, nullptr, 0);
-    } else if (campaign && std::strcmp(arg, "--stop-after") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return false;
-      flags->stop_after = std::strtoull(value, nullptr, 0);
-    } else if (campaign && std::strcmp(arg, "--campaign-out") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return false;
-      flags->campaign_out = value;
-    } else {
-      UnknownOption(arg);
-      return false;
-    }
-  }
-  return true;
+void AddAnalyzeFlags(FlagTable& flags, AnalyzeFlags* analyze) {
+  AddPipelineFlags(flags, &analyze->pipeline);
+  flags.Switch("--no-clinic", "skip the malware-clinic safety test",
+               &analyze->run_clinic, false);
+  flags.String("--package", "out.pkg",
+               "write clinic-passed vaccines as a package",
+               &analyze->package_path);
+  flags.String("--report", "out.md",
+               "write the markdown report (analyze only)",
+               &analyze->report_path);
+  flags.Unsigned("--fault-seed", "n", "inject deterministic faults from seed n",
+                 &analyze->fault_seed);
+  flags.Double("--fault-rate", "p",
+               "fault probability per API call (default 0.02)",
+               &analyze->fault_rate);
+  flags.String("--metrics-out", "f", "dump the metrics registry as JSONL",
+               &analyze->metrics_path);
+  flags.String("--trace-out", "f", "write a Chrome trace_event JSON file",
+               &analyze->trace_path);
+}
+
+// Arms the --fault-seed schedule, if one was given, on `options`.
+void ArmFaults(const FlagTable& flags, const AnalyzeFlags& analyze,
+               sandbox::FaultPlan* plan, vaccine::PipelineOptions* options) {
+  if (!flags.Seen("--fault-seed")) return;
+  *plan = sandbox::FaultPlan::Randomized(analyze.fault_seed,
+                                         analyze.fault_rate);
+  options->fault_plan = plan;
+  std::printf("fault injection: %s\n", plan->Summary().c_str());
 }
 
 // Writes --metrics-out / --trace-out if requested. Returns 0 or 1.
 int ExportTelemetry(const AnalyzeFlags& flags) {
   if (!flags.metrics_path.empty()) {
     const std::string jsonl = ExportMetricsJsonl(GlobalMetrics().Snapshot());
-    const Status written = WriteStringToFile(flags.metrics_path, jsonl);
-    if (!written.ok()) {
-      std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
-      return 1;
-    }
+    if (!WriteOutput(flags.metrics_path, jsonl)) return 1;
     std::printf("metrics written to %s (%zu series)\n",
                 flags.metrics_path.c_str(), GlobalMetrics().size());
   }
   if (!flags.trace_path.empty()) {
     const std::string trace = ExportChromeTrace(GlobalTracer(), {});
-    const Status written = WriteStringToFile(flags.trace_path, trace);
-    if (!written.ok()) {
-      std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
-      return 1;
-    }
+    if (!WriteOutput(flags.trace_path, trace)) return 1;
     std::printf("trace written to %s (%zu spans)\n", flags.trace_path.c_str(),
                 GlobalTracer().spans().size());
   }
@@ -487,56 +250,42 @@ void ApplyClinic(std::vector<vaccine::Vaccine>& vaccines) {
   vaccines = std::move(clinic.passed);
 }
 
-int CmdAnalyze(int argc, char** argv) {
-  AnalyzeFlags flags;
-  if (!ParseAnalyzeFlags(argc, argv, &flags)) return 2;
-  if (flags.samples.size() != 1) {
-    std::fprintf(stderr, "error: analyze takes exactly one sample\n");
-    return Usage();
+int CmdAnalyze(FlagTable& flags, int argc, char** argv) {
+  AnalyzeFlags analyze;
+  AddAnalyzeFlags(flags, &analyze);
+  if (auto exit = flags.ParseOrExit(argc, argv)) return *exit;
+  if (flags.positionals().size() != 1) {
+    return flags.Fail("analyze takes exactly one sample");
   }
   GlobalTracer().set_enabled(true);
 
-  auto program = LoadSample(flags.samples[0]);
-  if (!program.ok()) {
-    std::fprintf(stderr, "error: %s\n", program.status().ToString().c_str());
-    return 1;
-  }
+  auto program = LoadSample(flags.positionals()[0]);
+  if (!program.ok()) return ReportError(program.status());
   std::printf("sample '%s': %zu instructions, digest %s\n",
               program->name.c_str(), program->code.size(),
               program->Digest().c_str());
 
+  vaccine::PipelineOptions& options = analyze.pipeline;
   analysis::ExclusivenessIndex index;
-  if (flags.use_exclusiveness) {
+  if (options.run_exclusiveness) {
     index = TrainIndex();
     std::printf("exclusiveness index: %zu identifiers from the benign "
                 "corpus\n", index.size());
   }
-  vaccine::PipelineOptions options;
-  options.run_exclusiveness = flags.use_exclusiveness;
-  options.limits = flags.limits;
-  options.mutation_threads = flags.mutation_threads;
-  options.snapshot_replay = flags.snapshot_replay;
-  sandbox::FaultPlan fault_plan(flags.fault_seed);
-  if (flags.inject_faults) {
-    fault_plan = sandbox::FaultPlan::Randomized(flags.fault_seed,
-                                                flags.fault_rate);
-    options.fault_plan = &fault_plan;
-    std::printf("fault injection: %s\n", fault_plan.Summary().c_str());
-  }
+  sandbox::FaultPlan fault_plan(analyze.fault_seed);
+  ArmFaults(flags, analyze, &fault_plan, &options);
   vaccine::VaccinePipeline pipeline(
-      flags.use_exclusiveness ? &index : nullptr, options);
+      options.run_exclusiveness ? &index : nullptr, options);
   auto report = pipeline.Analyze(program.value());
-  if (flags.run_clinic) ApplyClinic(report.vaccines);
+  if (analyze.run_clinic) ApplyClinic(report.vaccines);
   // Clinic spans opened after Analyze; fold them into the rollup.
   report.phase_costs = GlobalTracer().PhaseTotals(0);
-  if (!flags.report_path.empty()) {
-    const Status written = WriteStringToFile(
-        flags.report_path, vaccine::RenderSampleReport(report));
-    if (!written.ok()) {
-      std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
+  if (!analyze.report_path.empty()) {
+    if (!WriteOutput(analyze.report_path,
+                     vaccine::RenderSampleReport(report))) {
       return 1;
     }
-    std::printf("report written to %s\n", flags.report_path.c_str());
+    std::printf("report written to %s\n", analyze.report_path.c_str());
   }
 
   std::printf("\nPhase-I : %zu resource-API occurrences, %zu tainted; "
@@ -565,123 +314,93 @@ int CmdAnalyze(int argc, char** argv) {
   std::printf("\n");
   if (report.vaccines.empty()) {
     std::printf("no vaccines extracted.\n");
-    return ExportTelemetry(flags);
+    return ExportTelemetry(analyze);
   }
   for (const vaccine::Vaccine& v : report.vaccines) {
     std::printf("vaccine: %s\n", v.Summary().c_str());
   }
 
-  if (!flags.package_path.empty()) {
-    const Status written = WriteStringToFile(
-        flags.package_path, vaccine::SerializePackage(report.vaccines));
-    if (!written.ok()) {
-      std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
+  if (!analyze.package_path.empty()) {
+    if (!WriteOutput(analyze.package_path,
+                     vaccine::SerializePackage(report.vaccines))) {
       return 1;
     }
     std::printf("\npackage written to %s (%zu vaccines)\n",
-                flags.package_path.c_str(), report.vaccines.size());
+                analyze.package_path.c_str(), report.vaccines.size());
   }
-  return ExportTelemetry(flags);
+  return ExportTelemetry(analyze);
 }
 
-// Merges phase totals from several sources into one name-sorted rollup
-// (the same ordering PhaseTotals produces), so the campaign dashboard
-// can combine per-sample costs with the supervisor's own clinic spans.
-std::vector<PhaseTotal> MergePhaseTotals(
-    std::initializer_list<const std::vector<PhaseTotal>*> sources) {
-  std::map<std::string, PhaseTotal> merged;
-  for (const std::vector<PhaseTotal>* source : sources) {
-    for (const PhaseTotal& cost : *source) {
-      PhaseTotal& total = merged[cost.name];
-      total.name = cost.name;
-      total.spans += cost.spans;
-      total.ticks += cost.ticks;
-      total.wall_ns += cost.wall_ns;
-    }
-  }
-  std::vector<PhaseTotal> out;
-  out.reserve(merged.size());
-  for (auto& [name, total] : merged) out.push_back(std::move(total));
-  return out;
-}
-
-int CmdCampaign(int argc, char** argv) {
-  AnalyzeFlags flags;
-  if (!ParseAnalyzeFlags(argc, argv, &flags, /*campaign=*/true)) return 2;
-  if (flags.samples.empty()) {
-    std::fprintf(stderr, "error: campaign needs at least one sample\n");
-    return Usage();
+int CmdCampaign(FlagTable& flags, int argc, char** argv) {
+  AnalyzeFlags analyze;
+  campaign::CampaignOptions durability;
+  std::string campaign_out;
+  AddAnalyzeFlags(flags, &analyze);
+  flags.Unsigned("--jobs", "n",
+                 "parallel forked worker processes (default 1)",
+                 &durability.jobs, 1);
+  flags.String("--journal", "f",
+               "write-ahead journal, one fsync'd record per sample",
+               &durability.journal_path);
+  flags.Switch("--resume", "skip samples already completed in --journal",
+               &durability.resume);
+  flags.Unsigned("--sample-deadline-ms", "n",
+                 "SIGKILL a worker stuck on one sample this long",
+                 &durability.sample_deadline_ms);
+  flags.Unsigned("--stop-after", "n",
+                 "stop cleanly after n samples (exit code 3)",
+                 &durability.stop_after);
+  flags.String("--campaign-out", "f", "write the campaign report as JSON",
+               &campaign_out);
+  if (auto exit = flags.ParseOrExit(argc, argv)) return *exit;
+  if (flags.positionals().empty()) {
+    return flags.Fail("campaign needs at least one sample");
   }
   GlobalTracer().set_enabled(true);
 
-  std::vector<vm::Program> programs;
-  programs.reserve(flags.samples.size());
-  for (const std::string& path : flags.samples) {
-    auto program = LoadSample(path);
-    if (!program.ok()) {
-      std::fprintf(stderr, "error: %s\n",
-                   program.status().ToString().c_str());
-      return 1;
-    }
-    programs.push_back(std::move(program).value());
-  }
+  auto programs = LoadSamples(flags.positionals());
+  if (!programs.ok()) return ReportError(programs.status());
 
+  vaccine::PipelineOptions& options = analyze.pipeline;
   analysis::ExclusivenessIndex index;
-  if (flags.use_exclusiveness) index = TrainIndex();
-  vaccine::PipelineOptions options;
-  options.run_exclusiveness = flags.use_exclusiveness;
-  options.limits = flags.limits;
-  options.snapshot_replay = flags.snapshot_replay;
+  if (options.run_exclusiveness) index = TrainIndex();
   // Total concurrency is --jobs worker processes x --mutation-threads
   // pool threads inside each worker; cap it at the machine's hardware
   // threads so a generous flag combination cannot oversubscribe the box.
   // The note goes to stderr — stdout is the dashboard, which must stay
   // byte-comparable across machines.
-  options.mutation_threads = flags.mutation_threads;
+  const size_t requested_threads = options.mutation_threads;
   const size_t hardware = std::max(1u, std::thread::hardware_concurrency());
-  if (flags.jobs * flags.mutation_threads > hardware) {
-    options.mutation_threads = std::max<size_t>(1, hardware / flags.jobs);
+  if (durability.jobs * requested_threads > hardware) {
+    options.mutation_threads = std::max<size_t>(1, hardware / durability.jobs);
     std::fprintf(stderr,
                  "campaign: capping --mutation-threads %zu -> %zu "
                  "(%zu jobs x threads must fit %zu hardware threads)\n",
-                 flags.mutation_threads, options.mutation_threads, flags.jobs,
-                 hardware);
+                 requested_threads, options.mutation_threads,
+                 durability.jobs, hardware);
   }
-  sandbox::FaultPlan fault_plan(flags.fault_seed);
-  if (flags.inject_faults) {
-    fault_plan = sandbox::FaultPlan::Randomized(flags.fault_seed,
-                                                flags.fault_rate);
-    options.fault_plan = &fault_plan;
-    std::printf("fault injection: %s\n", fault_plan.Summary().c_str());
-  }
+  sandbox::FaultPlan fault_plan(analyze.fault_seed);
+  ArmFaults(flags, analyze, &fault_plan, &options);
   vaccine::VaccinePipeline pipeline(
-      flags.use_exclusiveness ? &index : nullptr, options);
+      options.run_exclusiveness ? &index : nullptr, options);
 
-  campaign::CampaignOptions durability;
-  durability.jobs = flags.jobs;
-  durability.sample_deadline_ms = flags.sample_deadline_ms;
-  durability.journal_path = flags.journal_path;
-  durability.resume = flags.resume;
-  durability.stop_after = flags.stop_after;
-  if (flags.inject_faults) {
+  if (flags.Seen("--fault-seed")) {
     // The fault schedule changes analysis output but lives outside
     // PipelineOptions; fold it into the journal's config digest so a
     // resume with different fault flags is refused.
     durability.config_extra = StrFormat("fault_seed=%llu fault_rate=%.17g",
                                         static_cast<unsigned long long>(
-                                            flags.fault_seed),
-                                        flags.fault_rate);
+                                            analyze.fault_seed),
+                                        analyze.fault_rate);
   }
-  auto outcome = campaign::RunDurableCampaign(pipeline, programs, durability);
-  if (!outcome.ok()) {
-    std::fprintf(stderr, "error: %s\n", outcome.status().ToString().c_str());
-    return 1;
-  }
+  auto outcome =
+      campaign::RunDurableCampaign(pipeline, programs.value(), durability);
+  if (!outcome.ok()) return ReportError(outcome.status());
   vaccine::CampaignReport& campaign = outcome.value().report;
   const campaign::CampaignRunStats& stats = outcome.value().stats;
   // Durability narration goes to stderr: stdout is the dashboard, which
   // must stay byte-comparable between fresh and resumed runs.
-  if (!flags.journal_path.empty() || durability.WorkerMode()) {
+  if (!durability.journal_path.empty() || durability.WorkerMode()) {
     std::fprintf(stderr,
                  "campaign: %zu samples replayed from journal, %zu analyzed "
                  "(%zu worker crashes, %zu deadline kills, %zu retries, "
@@ -694,7 +413,7 @@ int CmdCampaign(int argc, char** argv) {
     std::fprintf(stderr,
                  "campaign: interrupted after %zu samples; resume with "
                  "--resume --journal %s\n",
-                 stats.samples_analyzed, flags.journal_path.c_str());
+                 stats.samples_analyzed, durability.journal_path.c_str());
   }
 
   TextTable table({"sample", "sensitive", "targets", "vaccines", "demoted",
@@ -723,54 +442,43 @@ int CmdCampaign(int argc, char** argv) {
   // tracer sees nothing when samples ran in forked workers or were
   // replayed from a journal), plus whatever the clinic adds in-process.
   const size_t pre_clinic = GlobalTracer().spans().size();
-  if (flags.run_clinic) ApplyClinic(all_vaccines);
+  if (analyze.run_clinic) ApplyClinic(all_vaccines);
   const std::vector<PhaseTotal> clinic_costs =
       GlobalTracer().PhaseTotals(pre_clinic);
   PrintPhaseCosts(MergePhaseTotals({&campaign.phase_costs, &clinic_costs}));
 
-  if (!flags.package_path.empty()) {
-    const Status written = WriteStringToFile(
-        flags.package_path, vaccine::SerializePackage(all_vaccines));
-    if (!written.ok()) {
-      std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
+  if (!analyze.package_path.empty()) {
+    if (!WriteOutput(analyze.package_path,
+                     vaccine::SerializePackage(all_vaccines))) {
       return 1;
     }
     std::printf("package written to %s (%zu vaccines)\n",
-                flags.package_path.c_str(), all_vaccines.size());
+                analyze.package_path.c_str(), all_vaccines.size());
   }
-  if (!flags.campaign_out.empty()) {
-    const Status written = WriteStringToFile(
-        flags.campaign_out, vaccine::CampaignReportToJson(campaign) + "\n");
-    if (!written.ok()) {
-      std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
+  if (!campaign_out.empty()) {
+    if (!WriteOutput(campaign_out,
+                     vaccine::CampaignReportToJson(campaign) + "\n")) {
       return 1;
     }
     std::printf("campaign report written to %s (%zu samples)\n",
-                flags.campaign_out.c_str(), campaign.reports.size());
+                campaign_out.c_str(), campaign.reports.size());
   }
-  const int telemetry = ExportTelemetry(flags);
+  const int telemetry = ExportTelemetry(analyze);
   if (telemetry != 0) return telemetry;
   return stats.interrupted ? 3 : 0;
 }
 
-int CmdTest(int argc, char** argv) {
-  if (argc != 2) return Usage();
-  auto program = LoadSample(argv[0]);
-  if (!program.ok()) {
-    std::fprintf(stderr, "error: %s\n", program.status().ToString().c_str());
-    return 1;
+int CmdTest(FlagTable& flags, int argc, char** argv) {
+  if (auto exit = flags.ParseOrExit(argc, argv)) return *exit;
+  if (flags.positionals().size() != 2) {
+    return flags.Fail("test takes a sample and a package");
   }
-  auto package_text = ReadFileToString(argv[1]);
-  if (!package_text.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 package_text.status().ToString().c_str());
-    return 1;
-  }
+  auto program = LoadSample(flags.positionals()[0]);
+  if (!program.ok()) return ReportError(program.status());
+  auto package_text = ReadFileToString(flags.positionals()[1]);
+  if (!package_text.ok()) return ReportError(package_text.status());
   auto vaccines = vaccine::ParsePackage(package_text.value());
-  if (!vaccines.ok()) {
-    std::fprintf(stderr, "error: %s\n", vaccines.status().ToString().c_str());
-    return 1;
-  }
+  if (!vaccines.ok()) return ReportError(vaccines.status());
   std::printf("package: %zu vaccines\n", vaccines->size());
 
   auto bdr = vaccine::MeasureBdr(program.value(), vaccines.value());
@@ -785,50 +493,36 @@ int CmdTest(int argc, char** argv) {
   return (bdr.bdr > 0.0 || bdr.malware_terminated_early) ? 0 : 1;
 }
 
-int CmdTrace(int argc, char** argv) {
-  if (argc < 1) return Usage();
-  auto program = LoadSample(argv[0]);
-  if (!program.ok()) {
-    std::fprintf(stderr, "error: %s\n", program.status().ToString().c_str());
-    return 1;
-  }
+int CmdTrace(FlagTable& flags, int argc, char** argv) {
   std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0) {
-      const char* value = OptionValue(argc, argv, &i);
-      if (value == nullptr) return 2;
-      out_path = value;
-    } else if (std::strncmp(argv[i], "--", 2) == 0) {
-      return UnknownOption(argv[i]);
-    } else {
-      std::fprintf(stderr, "error: unexpected argument '%s'\n", argv[i]);
-      return Usage();
-    }
+  flags.String("--out", "f", "write the trace to a file instead of stdout",
+               &out_path);
+  if (auto exit = flags.ParseOrExit(argc, argv)) return *exit;
+  if (flags.positionals().size() != 1) {
+    return flags.Fail("trace takes exactly one sample");
   }
+  auto program = LoadSample(flags.positionals()[0]);
+  if (!program.ok()) return ReportError(program.status());
   os::HostEnvironment env = os::HostEnvironment::StandardMachine();
   auto run = sandbox::RunProgram(program.value(), env, {});
-  const std::string serialized = trace::SerializeApiTrace(run.api_trace);
-  if (out_path.empty()) {
-    std::fputs(serialized.c_str(), stdout);
-  } else {
-    const Status written = WriteStringToFile(out_path, serialized);
-    if (!written.ok()) {
-      std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
-      return 1;
-    }
+  if (!WriteOutputOrStdout(out_path,
+                           trace::SerializeApiTrace(run.api_trace))) {
+    return 1;
+  }
+  if (!out_path.empty()) {
     std::printf("trace with %zu calls written to %s\n",
                 run.api_trace.calls.size(), out_path.c_str());
   }
   return 0;
 }
 
-int CmdDisasm(int argc, char** argv) {
-  if (argc != 1) return Usage();
-  auto program = LoadSample(argv[0]);
-  if (!program.ok()) {
-    std::fprintf(stderr, "error: %s\n", program.status().ToString().c_str());
-    return 1;
+int CmdDisasm(FlagTable& flags, int argc, char** argv) {
+  if (auto exit = flags.ParseOrExit(argc, argv)) return *exit;
+  if (flags.positionals().size() != 1) {
+    return flags.Fail("disasm takes exactly one sample");
   }
+  auto program = LoadSample(flags.positionals()[0]);
+  if (!program.ok()) return ReportError(program.status());
   std::fputs(
       vm::DisassembleProgram(program.value(), sandbox::SandboxApiNamer())
           .c_str(),
@@ -836,68 +530,33 @@ int CmdDisasm(int argc, char** argv) {
   return 0;
 }
 
-int CmdCorpus(int argc, char** argv) {
-  if (WantsHelp(argc, argv)) {
-    std::printf(
-        "usage: autovac corpus --out <dir> [--seed <n>] [--per-class <n>]\n"
-        "                      [--evasion <class>[,<class>...]]\n"
-        "Generates the adversarial evasion corpus as assembly sources in\n"
-        "<dir> (created if absent). Classes: stalling, env-probe,\n"
-        "runtime-unpack, vaccine-aware; default is all of them. The same\n"
-        "--seed writes byte-identical files regardless of which class\n"
-        "subset is requested; unknown class names are rejected (exit 2).\n");
-    return 0;
-  }
+int CmdCorpus(FlagTable& flags, int argc, char** argv) {
   std::string out_dir;
+  std::string class_list;
   evasion::EvasiveCorpusOptions options;
-  for (int i = 0; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* value = nullptr;
-    if (std::strcmp(arg, "--out") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      out_dir = value;
-    } else if (std::strcmp(arg, "--seed") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      options.seed = std::strtoull(value, nullptr, 0);
-    } else if (std::strcmp(arg, "--per-class") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      const long long per_class = std::strtoll(value, nullptr, 0);
-      if (per_class <= 0) {
-        std::fprintf(stderr, "error: --per-class requires at least 1\n");
+  flags.String("--out", "dir", "directory for the .asm files (created)",
+               &out_dir);
+  flags.Unsigned("--seed", "n", "corpus seed (default 2013)", &options.seed);
+  flags.Unsigned("--per-class", "n", "samples per class (default 8)",
+                 &options.per_class, 1);
+  flags.String("--evasion", "list",
+               "comma-separated classes to generate (default all)",
+               &class_list);
+  if (auto exit = flags.ParseOrExit(argc, argv)) return *exit;
+  if (!flags.positionals().empty()) return UnexpectedArgument(flags);
+  if (out_dir.empty()) return flags.Fail("corpus requires --out");
+  if (flags.Seen("--evasion")) {
+    // Strict: one unknown name fails the whole run instead of silently
+    // generating a smaller corpus.
+    for (const std::string& name : StrSplit(class_list, ",", true)) {
+      auto cls = evasion::ParseEvasionClass(name);
+      if (!cls.has_value()) {
+        std::fprintf(stderr, "error: unknown evasion class '%s'\n",
+                     name.c_str());
         return 2;
       }
-      options.per_class = static_cast<size_t>(per_class);
-    } else if (std::strcmp(arg, "--evasion") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      // Comma-separated, strict: one unknown name fails the whole run
-      // instead of silently generating a smaller corpus.
-      const std::string list(value);
-      size_t start = 0;
-      while (true) {
-        const size_t comma = list.find(',', start);
-        const std::string name = list.substr(
-            start, comma == std::string::npos ? std::string::npos
-                                              : comma - start);
-        auto cls = evasion::ParseEvasionClass(name);
-        if (!cls.has_value()) {
-          std::fprintf(stderr, "error: unknown evasion class '%s'\n",
-                       name.c_str());
-          return 2;
-        }
-        options.classes.push_back(*cls);
-        if (comma == std::string::npos) break;
-        start = comma + 1;
-      }
-    } else if (std::strncmp(arg, "--", 2) == 0) {
-      return UnknownOption(arg);
-    } else {
-      std::fprintf(stderr, "error: unexpected argument '%s'\n", arg);
-      return Usage();
+      options.classes.push_back(*cls);
     }
-  }
-  if (out_dir.empty()) {
-    std::fprintf(stderr, "error: corpus requires --out\n");
-    return Usage();
   }
   if (::mkdir(out_dir.c_str(), 0755) != 0 && errno != EEXIST) {
     std::fprintf(stderr, "error: cannot create %s: %s\n", out_dir.c_str(),
@@ -905,15 +564,10 @@ int CmdCorpus(int argc, char** argv) {
     return 1;
   }
   auto corpus = evasion::GenerateEvasiveCorpus(options);
-  if (!corpus.ok()) {
-    std::fprintf(stderr, "error: %s\n", corpus.status().ToString().c_str());
-    return 1;
-  }
+  if (!corpus.ok()) return ReportError(corpus.status());
   for (const evasion::EvasiveSample& sample : corpus.value()) {
-    const std::string path = out_dir + "/" + sample.program.name + ".asm";
-    const Status written = WriteStringToFile(path, sample.source);
-    if (!written.ok()) {
-      std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
+    if (!WriteOutput(out_dir + "/" + sample.program.name + ".asm",
+                     sample.source)) {
       return 1;
     }
   }
@@ -929,118 +583,107 @@ std::atomic<bool> g_stop_requested{false};
 
 void HandleStopSignal(int) { g_stop_requested.store(true); }
 
-// Flags shared by the vacd client commands (push/query/pull).
+void InstallStopHandlers() {
+  std::signal(SIGINT, HandleStopSignal);
+  std::signal(SIGTERM, HandleStopSignal);
+}
+
+// Blocks until SIGINT or SIGTERM, polling every 50 ms.
+void WaitForStopSignal() {
+  InstallStopHandlers();
+  while (!g_stop_requested.load()) {
+    ::usleep(50 * 1000);
+  }
+}
+
+// The vacd client flags: endpoint, deadline and retry policy.
 struct ClientFlags {
   std::string socket_path;  // endpoint spec: Unix path or tcp:host:port
   uint64_t deadline_ms = 5000;
-  bool binary = false;  // compact binary encoding for the read path
   net::RetryPolicy retry;  // default: a single attempt
+  bool binary = false;     // compact binary encoding for the read path
 };
 
-int CmdServe(int argc, char** argv) {
-  if (WantsHelp(argc, argv)) {
-    std::printf(
-        "usage: autovac serve --socket <s> [--store <f>] [--threads <n>]\n"
-        "                     [--checkpoint-every <n>]\n"
-        "                     [--dedup-window <n>] [--no-exclusiveness]\n"
-        "                     [--tcp <host:port>] [--max-connections <n>]\n"
-        "                     [--rate-rps <r>] [--rate-burst <n>]\n"
-        "                     [--idle-timeout-ms <n>]\n"
-        "Runs vacd, the vaccine store + distribution server, until SIGINT\n"
-        "or SIGTERM (both drain: every request already at the worker pool\n"
-        "is answered and the store is fsync'd before exit). With --store the feed is durable: pushes\n"
-        "append to a fsync'd JSONL journal that survives crashes and\n"
-        "restarts; --checkpoint-every bounds restart recovery to the\n"
-        "delta since the last checkpoint. Vaccines whose identifier or\n"
-        "pattern collides with the benign corpus are quarantined (stored,\n"
-        "never served) unless --no-exclusiveness is given.\n"
-        "The Unix socket and the optional --tcp listener share one\n"
-        "event-driven core: persistent connections, pipelined JSON or\n"
-        "binary frames, per-connection flow control (connection cap,\n"
-        "token bucket, bounded write buffer, idle sweep). --tcp port 0\n"
-        "picks an ephemeral port, printed in the readiness line. No\n"
-        "authentication yet: bind loopback (the default host) unless the\n"
-        "network is trusted.\n");
-    return 0;
+void AddClientFlags(FlagTable& flags, ClientFlags* client,
+                    bool with_binary = true) {
+  flags.String("--socket", "s", "server endpoint: Unix path or tcp:host:port",
+               &client->socket_path);
+  flags.Unsigned("--deadline-ms", "n", "request deadline (default 5000)",
+                 &client->deadline_ms);
+  flags.Unsigned("--retries", "n", "attempts per request (default 1)",
+                 &client->retry.max_attempts, 1);
+  flags.Unsigned("--retry-budget-ms", "n",
+                 "total retry budget (default 30000)",
+                 &client->retry.max_total_ms);
+  flags.Unsigned("--retry-seed", "n", "seed for deterministic backoff jitter",
+                 &client->retry.seed);
+  if (with_binary) {
+    flags.Switch("--binary", "compact binary encoding for reads",
+                 &client->binary);
   }
-  std::string socket_path;
-  std::string store_path;
+}
+
+// Parses a vacd client command line; nullopt to carry on.
+std::optional<int> ParseClient(FlagTable& flags, int argc, char** argv,
+                               const ClientFlags& client) {
+  if (auto exit = flags.ParseOrExit(argc, argv)) return exit;
+  if (client.socket_path.empty()) {
+    return flags.Fail("this command requires --socket");
+  }
+  return std::nullopt;
+}
+
+int CmdServe(FlagTable& flags, int argc, char** argv) {
   net::VacdOptions options;
+  std::string store_path;
+  std::string tcp;
   bool use_exclusiveness = true;
-  for (int i = 0; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* value = nullptr;
-    if (std::strcmp(arg, "--socket") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      socket_path = value;
-    } else if (std::strcmp(arg, "--store") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      store_path = value;
-    } else if (std::strcmp(arg, "--threads") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      const long long threads = std::strtoll(value, nullptr, 0);
-      if (threads <= 0) {
-        std::fprintf(stderr, "error: --threads requires at least 1\n");
-        return 2;
-      }
-      options.threads = static_cast<size_t>(threads);
-    } else if (std::strcmp(arg, "--checkpoint-every") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      options.checkpoint_every =
-          static_cast<size_t>(std::strtoull(value, nullptr, 0));
-    } else if (std::strcmp(arg, "--dedup-window") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      options.push_dedup_window =
-          static_cast<size_t>(std::strtoull(value, nullptr, 0));
-    } else if (std::strcmp(arg, "--no-exclusiveness") == 0) {
-      use_exclusiveness = false;
-    } else if (std::strcmp(arg, "--tcp") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      // Accept "host:port", "port", or a full "tcp:..." spec.
-      std::string spec(value);
-      if (spec.rfind("tcp:", 0) != 0) spec = "tcp:" + spec;
-      auto endpoint = net::ParseEndpoint(spec);
-      if (!endpoint.ok()) {
-        std::fprintf(stderr, "error: %s\n",
-                     endpoint.status().ToString().c_str());
-        return 2;
-      }
-      options.tcp_host = endpoint->host;
-      options.tcp_port = endpoint->port;
-    } else if (std::strcmp(arg, "--max-connections") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      options.max_connections =
-          static_cast<size_t>(std::strtoull(value, nullptr, 0));
-    } else if (std::strcmp(arg, "--rate-rps") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      options.rate_limit_rps = std::strtod(value, nullptr);
-    } else if (std::strcmp(arg, "--rate-burst") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      options.rate_limit_burst = std::strtod(value, nullptr);
-    } else if (std::strcmp(arg, "--idle-timeout-ms") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      options.idle_timeout_ms = std::strtoull(value, nullptr, 0);
-    } else if (std::strncmp(arg, "--", 2) == 0) {
-      return UnknownOption(arg);
-    } else {
-      std::fprintf(stderr, "error: unexpected argument '%s'\n", arg);
-      return Usage();
+  flags.String("--socket", "s", "Unix socket to listen on",
+               &options.socket_path);
+  flags.String("--store", "f", "durable store file (JSONL, created)",
+               &store_path);
+  flags.Unsigned("--threads", "n", "request worker threads (default 4)",
+                 &options.threads, 1);
+  flags.Unsigned("--checkpoint-every", "n",
+                 "checkpoint after every n accepted vaccines",
+                 &options.checkpoint_every);
+  flags.Unsigned("--dedup-window", "n",
+                 "push replies kept for retries (default 128)",
+                 &options.push_dedup_window);
+  flags.Switch("--no-exclusiveness", "skip the benign-conflict quarantine",
+               &use_exclusiveness, false);
+  flags.String("--tcp", "host:port", "also listen on TCP (port 0: ephemeral)",
+               &tcp);
+  flags.Unsigned("--max-connections", "n",
+                 "connections before BUSY (default 4096)",
+                 &options.max_connections);
+  flags.Double("--rate-rps", "r",
+               "per-connection requests/second (default 0: off)",
+               &options.rate_limit_rps);
+  flags.Double("--rate-burst", "n", "token-bucket burst size (default 64)",
+               &options.rate_limit_burst);
+  flags.Unsigned("--idle-timeout-ms", "n",
+                 "close idle connections (default 60000)",
+                 &options.idle_timeout_ms);
+  if (auto exit = flags.ParseOrExit(argc, argv)) return *exit;
+  if (!flags.positionals().empty()) return UnexpectedArgument(flags);
+  if (options.socket_path.empty()) return flags.Fail("serve requires --socket");
+  if (!tcp.empty()) {
+    // Accept "host:port", "port", or a full "tcp:..." spec.
+    if (tcp.rfind("tcp:", 0) != 0) tcp = "tcp:" + tcp;
+    auto endpoint = net::ParseEndpoint(tcp);
+    if (!endpoint.ok()) {
+      ReportError(endpoint.status());
+      return 2;
     }
+    options.tcp_host = endpoint->host;
+    options.tcp_port = endpoint->port;
   }
-  if (socket_path.empty()) {
-    std::fprintf(stderr, "error: serve requires --socket\n");
-    return Usage();
-  }
-  options.socket_path = socket_path;
 
   vacstore::VaccineStore store;
   if (!store_path.empty()) {
     auto opened = vacstore::VaccineStore::Open(store_path);
-    if (!opened.ok()) {
-      std::fprintf(stderr, "error: %s\n",
-                   opened.status().ToString().c_str());
-      return 1;
-    }
+    if (!opened.ok()) return ReportError(opened.status());
     store = std::move(opened).value();
     if (store.repaired_torn_tail()) {
       std::fprintf(stderr,
@@ -1053,11 +696,7 @@ int CmdServe(int argc, char** argv) {
     index = TrainIndex();
     store.SetConflictIndex(&index);
     auto rescanned = store.RescanConflicts();
-    if (!rescanned.ok()) {
-      std::fprintf(stderr, "error: %s\n",
-                   rescanned.status().ToString().c_str());
-      return 1;
-    }
+    if (!rescanned.ok()) return ReportError(rescanned.status());
     if (*rescanned > 0) {
       std::fprintf(stderr, "vacd: quarantined %zu stored vaccines that "
                    "conflict with the benign corpus\n", *rescanned);
@@ -1066,14 +705,11 @@ int CmdServe(int argc, char** argv) {
 
   net::VacdServer server(std::move(store), options);
   const Status started = server.Start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "error: %s\n", started.ToString().c_str());
-    return 1;
-  }
+  if (!started.ok()) return ReportError(started);
   // The "listening" line is the readiness signal scripts wait for.
   std::printf("vacd: listening on %s (%zu served, %zu quarantined, "
               "epoch %llu)\n",
-              socket_path.c_str(), server.Stats().served,
+              options.socket_path.c_str(), server.Stats().served,
               server.Stats().quarantined,
               static_cast<unsigned long long>(server.Stats().epoch));
   if (server.tcp_port() != 0) {
@@ -1085,11 +721,7 @@ int CmdServe(int argc, char** argv) {
   }
   std::fflush(stdout);
 
-  std::signal(SIGINT, HandleStopSignal);
-  std::signal(SIGTERM, HandleStopSignal);
-  while (!g_stop_requested.load()) {
-    ::usleep(50 * 1000);
-  }
+  WaitForStopSignal();
   const net::StatusReply stats = server.Stats();
   server.Stop();
   std::printf("vacd: stopped after %llu requests (%llu shed); "
@@ -1102,78 +734,17 @@ int CmdServe(int argc, char** argv) {
   return 0;
 }
 
-// Parses --socket/--deadline-ms, collecting positionals. Returns -1 to
-// continue, or an exit code.
-int ParseClientFlags(int argc, char** argv, ClientFlags* flags,
-                     std::vector<std::string>* positional,
-                     const char* extra_flag = nullptr,
-                     const char** extra_value = nullptr) {
-  for (int i = 0; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* value = nullptr;
-    if (std::strcmp(arg, "--socket") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      flags->socket_path = value;
-    } else if (std::strcmp(arg, "--deadline-ms") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      flags->deadline_ms = std::strtoull(value, nullptr, 0);
-    } else if (std::strcmp(arg, "--retries") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      const long long attempts = std::strtoll(value, nullptr, 0);
-      if (attempts <= 0) {
-        std::fprintf(stderr, "error: --retries requires at least 1\n");
-        return 2;
-      }
-      flags->retry.max_attempts = static_cast<uint32_t>(attempts);
-    } else if (std::strcmp(arg, "--retry-budget-ms") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      flags->retry.max_total_ms = std::strtoull(value, nullptr, 0);
-    } else if (std::strcmp(arg, "--retry-seed") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      flags->retry.seed = std::strtoull(value, nullptr, 0);
-    } else if (std::strcmp(arg, "--binary") == 0) {
-      flags->binary = true;
-    } else if (extra_flag != nullptr && std::strcmp(arg, extra_flag) == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      *extra_value = value;
-    } else if (std::strncmp(arg, "--", 2) == 0) {
-      return UnknownOption(arg);
-    } else {
-      positional->push_back(arg);
-    }
-  }
-  if (flags->socket_path.empty()) {
-    std::fprintf(stderr, "error: this command requires --socket\n");
-    return Usage();
-  }
-  return -1;
-}
-
-int CmdPush(int argc, char** argv) {
-  if (WantsHelp(argc, argv)) {
-    std::printf(
-        "usage: autovac push --socket <s> [--deadline-ms <n>] "
-        "<package.pkg>...\n"
-        "Ingests the packages' vaccines into a running vacd. The store\n"
-        "dedups by content digest, so re-pushing a package is a no-op;\n"
-        "conflicting vaccines are quarantined, not served.\n");
-    return 0;
-  }
-  ClientFlags flags;
-  std::vector<std::string> files;
-  const int parsed = ParseClientFlags(argc, argv, &flags, &files);
-  if (parsed >= 0) return parsed;
-  if (files.empty()) {
-    std::fprintf(stderr, "error: push needs at least one package file\n");
-    return Usage();
+int CmdPush(FlagTable& flags, int argc, char** argv) {
+  ClientFlags client;
+  AddClientFlags(flags, &client);
+  if (auto exit = ParseClient(flags, argc, argv, client)) return *exit;
+  if (flags.positionals().empty()) {
+    return flags.Fail("push needs at least one package file");
   }
   std::vector<vaccine::Vaccine> vaccines;
-  for (const std::string& path : files) {
+  for (const std::string& path : flags.positionals()) {
     auto text = ReadFileToString(path);
-    if (!text.ok()) {
-      std::fprintf(stderr, "error: %s\n", text.status().ToString().c_str());
-      return 1;
-    }
+    if (!text.ok()) return ReportError(text.status());
     auto parsed_package = vaccine::ParsePackage(text.value());
     if (!parsed_package.ok()) {
       std::fprintf(stderr, "error: %s: %s\n", path.c_str(),
@@ -1183,13 +754,10 @@ int CmdPush(int argc, char** argv) {
     vaccines.insert(vaccines.end(), parsed_package->begin(),
                     parsed_package->end());
   }
-  net::VacdClient client(flags.socket_path, flags.deadline_ms, flags.retry);
-  client.set_binary(flags.binary);
-  auto reply = client.Push(vaccines);
-  if (!reply.ok()) {
-    std::fprintf(stderr, "error: %s\n", reply.status().ToString().c_str());
-    return net::VacdClient::IsBusy(reply.status()) ? 4 : 1;
-  }
+  net::VacdClient vacd(client.socket_path, client.deadline_ms, client.retry);
+  vacd.set_binary(client.binary);
+  auto reply = vacd.Push(vaccines);
+  if (!reply.ok()) return ReportClientError(reply.status());
   std::printf("pushed %zu vaccines: %llu added, %llu duplicates, "
               "%llu quarantined; feed epoch %llu\n",
               vaccines.size(),
@@ -1200,42 +768,29 @@ int CmdPush(int argc, char** argv) {
   return 0;
 }
 
-int CmdQuery(int argc, char** argv) {
-  if (WantsHelp(argc, argv)) {
-    std::printf(
-        "usage: autovac query --socket <s> --resource <type> <identifier>\n"
-        "Asks vacd which served vaccines match the identifier (resource\n"
-        "types: file, registry, mutex, process, window, library,\n"
-        "service). Exit 0 when at least one vaccine matches, 1 when\n"
-        "none does.\n");
-    return 0;
-  }
-  ClientFlags flags;
-  std::vector<std::string> positional;
-  const char* resource_name = nullptr;
-  const int parsed = ParseClientFlags(argc, argv, &flags, &positional,
-                                      "--resource", &resource_name);
-  if (parsed >= 0) return parsed;
-  if (resource_name == nullptr || positional.size() != 1) {
-    std::fprintf(stderr,
-                 "error: query needs --resource and exactly one "
-                 "identifier\n");
-    return Usage();
+int CmdQuery(FlagTable& flags, int argc, char** argv) {
+  ClientFlags client;
+  std::string resource_name;
+  AddClientFlags(flags, &client);
+  flags.String("--resource", "type",
+               "file|registry|mutex|process|window|library|service",
+               &resource_name);
+  if (auto exit = ParseClient(flags, argc, argv, client)) return *exit;
+  if (!flags.Seen("--resource") || flags.positionals().size() != 1) {
+    return flags.Fail("query needs --resource and exactly one identifier");
   }
   auto resource = os::ResourceTypeFromName(resource_name);
   if (!resource.ok()) {
-    std::fprintf(stderr, "error: %s\n", resource.status().ToString().c_str());
+    ReportError(resource.status());
     return 2;
   }
-  net::VacdClient client(flags.socket_path, flags.deadline_ms, flags.retry);
-  client.set_binary(flags.binary);
-  auto reply = client.Query(resource.value(), positional[0]);
-  if (!reply.ok()) {
-    std::fprintf(stderr, "error: %s\n", reply.status().ToString().c_str());
-    return net::VacdClient::IsBusy(reply.status()) ? 4 : 1;
-  }
+  const std::string& identifier = flags.positionals()[0];
+  net::VacdClient vacd(client.socket_path, client.deadline_ms, client.retry);
+  vacd.set_binary(client.binary);
+  auto reply = vacd.Query(resource.value(), identifier);
+  if (!reply.ok()) return ReportClientError(reply.status());
   if (reply->matches.empty()) {
-    std::printf("no vaccine matches '%s'\n", positional[0].c_str());
+    std::printf("no vaccine matches '%s'\n", identifier.c_str());
     return 1;
   }
   for (const vaccine::Vaccine& v : reply->matches) {
@@ -1248,89 +803,37 @@ int CmdQuery(int argc, char** argv) {
   return 0;
 }
 
-int CmdPull(int argc, char** argv) {
-  if (WantsHelp(argc, argv)) {
-    std::printf(
-        "usage: autovac pull --socket <s> [--since <epoch>] [--out <f>]\n"
-        "Fetches every served vaccine newer than the given feed epoch.\n"
-        "The feed page (the server's reply JSON) goes to stdout or --out\n"
-        "verbatim; the same store contents produce byte-identical pages\n"
-        "across server restarts. The summary line goes to stderr.\n");
-    return 0;
-  }
-  ClientFlags flags;
-  std::vector<std::string> positional;
+int CmdPull(FlagTable& flags, int argc, char** argv) {
+  ClientFlags client;
   uint64_t since = 0;
   std::string out_path;
-  for (int i = 0; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* value = nullptr;
-    if (std::strcmp(arg, "--socket") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      flags.socket_path = value;
-    } else if (std::strcmp(arg, "--deadline-ms") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      flags.deadline_ms = std::strtoull(value, nullptr, 0);
-    } else if (std::strcmp(arg, "--retries") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      const long long attempts = std::strtoll(value, nullptr, 0);
-      if (attempts <= 0) {
-        std::fprintf(stderr, "error: --retries requires at least 1\n");
-        return 2;
-      }
-      flags.retry.max_attempts = static_cast<uint32_t>(attempts);
-    } else if (std::strcmp(arg, "--retry-budget-ms") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      flags.retry.max_total_ms = std::strtoull(value, nullptr, 0);
-    } else if (std::strcmp(arg, "--retry-seed") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      flags.retry.seed = std::strtoull(value, nullptr, 0);
-    } else if (std::strcmp(arg, "--since") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      since = std::strtoull(value, nullptr, 0);
-    } else if (std::strcmp(arg, "--out") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      out_path = value;
-    } else if (std::strcmp(arg, "--binary") == 0) {
-      flags.binary = true;
-    } else if (std::strncmp(arg, "--", 2) == 0) {
-      return UnknownOption(arg);
-    } else {
-      std::fprintf(stderr, "error: unexpected argument '%s'\n", arg);
-      return Usage();
-    }
-  }
-  if (flags.socket_path.empty()) {
-    std::fprintf(stderr, "error: pull requires --socket\n");
-    return Usage();
-  }
-  net::VacdClient client(flags.socket_path, flags.deadline_ms, flags.retry);
-  client.set_binary(flags.binary);
+  AddClientFlags(flags, &client);
+  flags.Unsigned("--since", "epoch", "only vaccines after this feed epoch",
+                 &since);
+  flags.String("--out", "f", "write the feed JSON to a file", &out_path);
+  if (auto exit = ParseClient(flags, argc, argv, client)) return *exit;
+  if (!flags.positionals().empty()) return UnexpectedArgument(flags);
+  net::VacdClient vacd(client.socket_path, client.deadline_ms, client.retry);
+  vacd.set_binary(client.binary);
   const net::Request request = net::PullRequest{since};
   // RoundTripRaw is one attempt by design; under --retries (or --binary,
   // whose raw reply is not printable), fall back to the typed path and
   // re-serialize (canonical JSON, so the output bytes match what the
   // server would have sent for a JSON request).
   Result<std::string> raw = Status::Internal("unreachable");
-  if (flags.retry.max_attempts > 1 || flags.binary) {
-    auto retried = client.RoundTrip(request);
+  if (client.retry.max_attempts > 1 || client.binary) {
+    auto retried = vacd.RoundTrip(request);
     if (retried.ok()) {
       raw = net::ReplyToJson(*retried);
     } else {
       raw = retried.status();
     }
   } else {
-    raw = client.RoundTripRaw(net::RequestToJson(request));
+    raw = vacd.RoundTripRaw(net::RequestToJson(request));
   }
-  if (!raw.ok()) {
-    std::fprintf(stderr, "error: %s\n", raw.status().ToString().c_str());
-    return 1;
-  }
+  if (!raw.ok()) return ReportError(raw.status());
   auto reply = net::ParseReply(raw.value());
-  if (!reply.ok()) {
-    std::fprintf(stderr, "error: %s\n", reply.status().ToString().c_str());
-    return 1;
-  }
+  if (!reply.ok()) return ReportError(reply.status());
   if (const auto* error = std::get_if<net::ErrorReply>(&reply.value())) {
     std::fprintf(stderr, "error: %s\n", error->message.c_str());
     return error->busy ? 4 : 1;
@@ -1340,15 +843,7 @@ int CmdPull(int argc, char** argv) {
     std::fprintf(stderr, "error: unexpected reply kind for pull\n");
     return 1;
   }
-  if (out_path.empty()) {
-    std::printf("%s\n", raw->c_str());
-  } else {
-    const Status written = WriteStringToFile(out_path, *raw + "\n");
-    if (!written.ok()) {
-      std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
-      return 1;
-    }
-  }
+  if (!WriteOutputOrStdout(out_path, *raw + "\n")) return 1;
   std::fprintf(stderr, "pulled %zu vaccines since epoch %llu (feed epoch "
                "%llu)\n",
                page->items.size(), static_cast<unsigned long long>(since),
@@ -1356,82 +851,23 @@ int CmdPull(int argc, char** argv) {
   return 0;
 }
 
-int CmdSync(int argc, char** argv) {
-  if (WantsHelp(argc, argv)) {
-    std::printf(
-        "usage: autovac sync --socket <s> [--page <n>] [--out <f>]\n"
-        "                    [--binary] [client options]\n"
-        "Mirrors the full vaccine feed with incremental pulls: pages of\n"
-        "at most --page items (0 = one unbounded pull) are fetched with\n"
-        "'pull --since <cursor>' until the feed is drained, tombstones\n"
-        "are applied, and the converged mirror is written to --out (or\n"
-        "stdout) as canonical feed JSON — byte-identical to one full\n"
-        "pull from the live server. The summary line goes to stderr.\n");
-    return 0;
-  }
-  ClientFlags flags;
+int CmdSync(FlagTable& flags, int argc, char** argv) {
+  ClientFlags client;
   uint64_t page_limit = 0;
   std::string out_path;
-  for (int i = 0; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* value = nullptr;
-    if (std::strcmp(arg, "--socket") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      flags.socket_path = value;
-    } else if (std::strcmp(arg, "--deadline-ms") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      flags.deadline_ms = std::strtoull(value, nullptr, 0);
-    } else if (std::strcmp(arg, "--retries") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      const long long attempts = std::strtoll(value, nullptr, 0);
-      if (attempts <= 0) {
-        std::fprintf(stderr, "error: --retries requires at least 1\n");
-        return 2;
-      }
-      flags.retry.max_attempts = static_cast<uint32_t>(attempts);
-    } else if (std::strcmp(arg, "--retry-budget-ms") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      flags.retry.max_total_ms = std::strtoull(value, nullptr, 0);
-    } else if (std::strcmp(arg, "--retry-seed") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      flags.retry.seed = std::strtoull(value, nullptr, 0);
-    } else if (std::strcmp(arg, "--binary") == 0) {
-      flags.binary = true;
-    } else if (std::strcmp(arg, "--page") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      page_limit = std::strtoull(value, nullptr, 0);
-    } else if (std::strcmp(arg, "--out") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      out_path = value;
-    } else if (std::strncmp(arg, "--", 2) == 0) {
-      return UnknownOption(arg);
-    } else {
-      std::fprintf(stderr, "error: unexpected argument '%s'\n", arg);
-      return Usage();
-    }
-  }
-  if (flags.socket_path.empty()) {
-    std::fprintf(stderr, "error: sync requires --socket\n");
-    return Usage();
-  }
-  net::VacdClient client(flags.socket_path, flags.deadline_ms, flags.retry);
-  client.set_binary(flags.binary);
+  AddClientFlags(flags, &client);
+  flags.Unsigned("--page", "n", "delta-pull page size (0 = unpaged)",
+                 &page_limit);
+  flags.String("--out", "f", "write the mirrored feed JSON to a file",
+               &out_path);
+  if (auto exit = ParseClient(flags, argc, argv, client)) return *exit;
+  if (!flags.positionals().empty()) return UnexpectedArgument(flags);
+  net::VacdClient vacd(client.socket_path, client.deadline_ms, client.retry);
+  vacd.set_binary(client.binary);
   net::FeedMirror mirror;
-  const Status synced = mirror.SyncFrom(client, page_limit);
-  if (!synced.ok()) {
-    std::fprintf(stderr, "error: %s\n", synced.ToString().c_str());
-    return net::VacdClient::IsBusy(synced) ? 4 : 1;
-  }
-  const std::string canonical = mirror.CanonicalJson();
-  if (out_path.empty()) {
-    std::printf("%s\n", canonical.c_str());
-  } else {
-    const Status written = WriteStringToFile(out_path, canonical + "\n");
-    if (!written.ok()) {
-      std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
-      return 1;
-    }
-  }
+  const Status synced = mirror.SyncFrom(vacd, page_limit);
+  if (!synced.ok()) return ReportClientError(synced);
+  if (!WriteOutputOrStdout(out_path, mirror.CanonicalJson() + "\n")) return 1;
   std::fprintf(stderr,
                "synced %zu vaccines to feed epoch %llu (page limit %llu)\n",
                mirror.size(),
@@ -1440,110 +876,56 @@ int CmdSync(int argc, char** argv) {
   return 0;
 }
 
-int CmdQuarantine(int argc, char** argv) {
-  if (WantsHelp(argc, argv)) {
-    std::printf(
-        "usage: autovac quarantine --socket <s> <digest> [--reason <s>]\n"
-        "Retracts one vaccine from a running vacd by content digest: it\n"
-        "stays stored but is never served again, and delta-syncing\n"
-        "clients receive a tombstone on their next pull. Idempotent —\n"
-        "quarantining an already-quarantined digest reports 'already'.\n");
-    return 0;
+int CmdQuarantine(FlagTable& flags, int argc, char** argv) {
+  ClientFlags client;
+  std::string reason = "operator";
+  AddClientFlags(flags, &client);
+  flags.String("--reason", "s", "recorded retraction reason", &reason);
+  if (auto exit = ParseClient(flags, argc, argv, client)) return *exit;
+  if (flags.positionals().size() != 1) {
+    return flags.Fail("quarantine needs exactly one digest");
   }
-  ClientFlags flags;
-  std::vector<std::string> positional;
-  const char* reason = nullptr;
-  const int parsed = ParseClientFlags(argc, argv, &flags, &positional,
-                                      "--reason", &reason);
-  if (parsed >= 0) return parsed;
-  if (positional.size() != 1) {
-    std::fprintf(stderr, "error: quarantine needs exactly one digest\n");
-    return Usage();
-  }
-  net::VacdClient client(flags.socket_path, flags.deadline_ms, flags.retry);
-  auto reply = client.Quarantine(positional[0],
-                                 reason != nullptr ? reason : "operator");
-  if (!reply.ok()) {
-    std::fprintf(stderr, "error: %s\n", reply.status().ToString().c_str());
-    return net::VacdClient::IsBusy(reply.status()) ? 4 : 1;
-  }
+  const std::string& digest = flags.positionals()[0];
+  net::VacdClient vacd(client.socket_path, client.deadline_ms, client.retry);
+  auto reply = vacd.Quarantine(digest, reason);
+  if (!reply.ok()) return ReportClientError(reply.status());
   std::printf("%s %s; feed epoch %llu\n",
               reply->already ? "already quarantined" : "quarantined",
-              positional[0].c_str(),
-              static_cast<unsigned long long>(reply->epoch));
+              digest.c_str(), static_cast<unsigned long long>(reply->epoch));
   return 0;
 }
 
-int CmdChaosProxy(int argc, char** argv) {
-  if (WantsHelp(argc, argv)) {
-    std::printf(
-        "usage: autovac chaos-proxy --listen <s> --backend <s>\n"
-        "                           [--fault-seed <n>] [--fault-rate <p>]\n"
-        "                           [--deadline-ms <n>]\n"
-        "Relays vacd connections from --listen to --backend through a\n"
-        "deterministic wire-fault injector: refused connects, frames cut\n"
-        "mid-byte, one-byte-at-a-time delivery, stalls and duplicated\n"
-        "requests, all drawn from --fault-seed. Point a client at the\n"
-        "proxy socket to rehearse its retry policy against a real vacd:\n"
-        "  autovac serve --socket /tmp/vacd.sock --store feed.jsonl &\n"
-        "  autovac chaos-proxy --listen /tmp/chaos.sock \\\n"
-        "      --backend /tmp/vacd.sock --fault-seed 7 &\n"
-        "  autovac push --socket /tmp/chaos.sock --retries 8 wave.pkg\n"
-        "Runs until SIGINT/SIGTERM, then prints a fault summary.\n");
-    return 0;
-  }
+int CmdChaosProxy(FlagTable& flags, int argc, char** argv) {
   net::ChaosProxyOptions options;
   uint64_t seed = 1;
   double rate = 0.1;
-  for (int i = 0; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* value = nullptr;
-    if (std::strcmp(arg, "--listen") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      options.listen_path = value;
-    } else if (std::strcmp(arg, "--backend") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      options.backend_path = value;
-    } else if (std::strcmp(arg, "--fault-seed") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      seed = std::strtoull(value, nullptr, 0);
-    } else if (std::strcmp(arg, "--fault-rate") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      rate = std::strtod(value, nullptr);
-    } else if (std::strcmp(arg, "--deadline-ms") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      options.deadline_ms = std::strtoull(value, nullptr, 0);
-    } else if (std::strncmp(arg, "--", 2) == 0) {
-      return UnknownOption(arg);
-    } else {
-      std::fprintf(stderr, "error: unexpected argument '%s'\n", arg);
-      return Usage();
-    }
-  }
+  flags.String("--listen", "s", "endpoint the client should connect to",
+               &options.listen_path);
+  flags.String("--backend", "s", "the real vacd endpoint to relay to",
+               &options.backend_path);
+  flags.Unsigned("--fault-seed", "n", "seed of the fault plan (default 1)",
+                 &seed);
+  flags.Double("--fault-rate", "p", "per-rule fault probability (default 0.1)",
+               &rate);
+  flags.Unsigned("--deadline-ms", "n", "relay socket deadline (default 5000)",
+                 &options.deadline_ms);
+  if (auto exit = flags.ParseOrExit(argc, argv)) return *exit;
+  if (!flags.positionals().empty()) return UnexpectedArgument(flags);
   if (options.listen_path.empty() || options.backend_path.empty()) {
-    std::fprintf(stderr, "error: chaos-proxy requires --listen and "
-                 "--backend\n");
-    return Usage();
+    return flags.Fail("chaos-proxy requires --listen and --backend");
   }
   options.verbose = true;
   const net::NetFaultPlan plan = net::NetFaultPlan::Randomized(seed, rate);
   net::ChaosProxy proxy(plan, options);
   const Status started = proxy.Start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "error: %s\n", started.ToString().c_str());
-    return 1;
-  }
+  if (!started.ok()) return ReportError(started);
   // The "relaying" line is the readiness signal scripts wait for.
   std::printf("chaos-proxy: relaying %s -> %s (%s)\n",
               options.listen_path.c_str(), options.backend_path.c_str(),
               plan.Summary().c_str());
   std::fflush(stdout);
 
-  std::signal(SIGINT, HandleStopSignal);
-  std::signal(SIGTERM, HandleStopSignal);
-  while (!g_stop_requested.load()) {
-    ::usleep(50 * 1000);
-  }
+  WaitForStopSignal();
   proxy.Stop();
   std::printf("chaos-proxy: stopped after %llu connections, %llu faults "
               "injected\n",
@@ -1552,34 +934,16 @@ int CmdChaosProxy(int argc, char** argv) {
   return 0;
 }
 
-int CmdStatus(int argc, char** argv) {
-  if (WantsHelp(argc, argv)) {
-    std::printf(
-        "usage: autovac status --socket <s> [--deadline-ms <n>]\n"
-        "Prints a running vacd's operational counters. The recovery\n"
-        "telemetry shows what a restart would cost: 'checkpoint epoch'\n"
-        "is the feed epoch the last checkpoint covers, 'replayed' the\n"
-        "journal records actually replayed at the last start, and\n"
-        "'dedup hits' how often the idempotency window absorbed a\n"
-        "retried push.\n");
-    return 0;
-  }
-  ClientFlags flags;
-  std::vector<std::string> positional;
-  const int parsed = ParseClientFlags(argc, argv, &flags, &positional);
-  if (parsed >= 0) return parsed;
-  if (!positional.empty()) {
-    std::fprintf(stderr, "error: status takes no arguments\n");
-    return Usage();
-  }
-  net::VacdClient client(flags.socket_path, flags.deadline_ms, flags.retry);
-  client.set_binary(flags.binary);
-  auto stats = client.Stats();
-  if (!stats.ok()) {
-    std::fprintf(stderr, "error: %s\n", stats.status().ToString().c_str());
-    return net::VacdClient::IsBusy(stats.status()) ? 4 : 1;
-  }
-  std::printf("vacd at %s:\n", flags.socket_path.c_str());
+int CmdStatus(FlagTable& flags, int argc, char** argv) {
+  ClientFlags client;
+  AddClientFlags(flags, &client);
+  if (auto exit = ParseClient(flags, argc, argv, client)) return *exit;
+  if (!flags.positionals().empty()) return UnexpectedArgument(flags);
+  net::VacdClient vacd(client.socket_path, client.deadline_ms, client.retry);
+  vacd.set_binary(client.binary);
+  auto stats = vacd.Stats();
+  if (!stats.ok()) return ReportClientError(stats.status());
+  std::printf("vacd at %s:\n", client.socket_path.c_str());
   std::printf("  feed epoch        %llu\n",
               static_cast<unsigned long long>(stats->epoch));
   std::printf("  served            %llu\n",
@@ -1603,92 +967,8 @@ int CmdStatus(int argc, char** argv) {
 
 // ---- fleet commands --------------------------------------------------
 
-// Pipeline flags shared by `coordinate` and `detonate-worker`. Both
-// sides fold them into the campaign config digest, so a worker started
-// with different flags refuses its claims instead of merging a
-// configuration mismatch into the report.
-struct FleetPipelineFlags {
-  bool use_exclusiveness = true;
-  sandbox::RunLimits limits;
-  size_t mutation_threads = 1;
-  bool snapshot_replay = true;
-};
-
-// Tries to consume one pipeline flag at argv[*i]. Returns 1 when
-// consumed, 0 when the flag is not a pipeline flag, 2 on a missing
-// value or bad argument (error already printed).
-int ParseFleetPipelineFlag(int argc, char** argv, int* i,
-                           FleetPipelineFlags* flags) {
-  const char* arg = argv[*i];
-  const char* value = nullptr;
-  if (std::strcmp(arg, "--no-exclusiveness") == 0) {
-    flags->use_exclusiveness = false;
-  } else if (std::strcmp(arg, "--max-api-calls") == 0) {
-    if ((value = OptionValue(argc, argv, i)) == nullptr) return 2;
-    flags->limits.max_api_calls = std::strtoull(value, nullptr, 0);
-  } else if (std::strcmp(arg, "--max-call-depth") == 0) {
-    if ((value = OptionValue(argc, argv, i)) == nullptr) return 2;
-    flags->limits.max_call_depth =
-        static_cast<uint32_t>(std::strtoul(value, nullptr, 0));
-  } else if (std::strcmp(arg, "--mutation-threads") == 0) {
-    if ((value = OptionValue(argc, argv, i)) == nullptr) return 2;
-    const long long threads = std::strtoll(value, nullptr, 0);
-    if (threads <= 0) {
-      std::fprintf(stderr, "error: --mutation-threads requires at least 1\n");
-      return 2;
-    }
-    flags->mutation_threads = static_cast<size_t>(threads);
-  } else if (std::strcmp(arg, "--no-snapshot-replay") == 0) {
-    flags->snapshot_replay = false;
-  } else {
-    return 0;
-  }
-  return 1;
-}
-
-vaccine::PipelineOptions MakeFleetPipelineOptions(
-    const FleetPipelineFlags& flags) {
-  vaccine::PipelineOptions options;
-  options.run_exclusiveness = flags.use_exclusiveness;
-  options.limits = flags.limits;
-  options.mutation_threads = flags.mutation_threads;
-  options.snapshot_replay = flags.snapshot_replay;
-  return options;
-}
-
-Result<std::vector<vm::Program>> LoadSamples(
-    const std::vector<std::string>& paths) {
-  std::vector<vm::Program> programs;
-  programs.reserve(paths.size());
-  for (const std::string& path : paths) {
-    auto program = LoadSample(path);
-    if (!program.ok()) return program.status();
-    programs.push_back(std::move(program).value());
-  }
-  return programs;
-}
-
-int CmdCoordinate(int argc, char** argv) {
-  if (WantsHelp(argc, argv)) {
-    std::printf(
-        "usage: autovac coordinate --socket <s> <sample.asm>...\n"
-        "                          [--journal <f>] [--resume]\n"
-        "                          [--lease-ms <n>] [--threads <n>]\n"
-        "                          [--store <f>] [--campaign-out <f>]\n"
-        "                          [--linger-ms <n>] [pipeline flags]\n"
-        "Shards the samples across remote detonation workers under\n"
-        "leases. A worker that crashes, stalls, or partitions loses its\n"
-        "lease and the sample is reassigned; a zombie upload under a\n"
-        "reassigned lease is rejected stale, so every sample is counted\n"
-        "exactly once. With --journal every assignment and completion is\n"
-        "fsync'd write-ahead, and --resume restarts a SIGKILLed\n"
-        "coordinator with only the unacknowledged delta lost; the final\n"
-        "report is byte-identical to a fault-free run for any failure\n"
-        "schedule. Exit code 3 means interrupted with the journal\n"
-        "intact.\n");
-    return 0;
-  }
-  FleetPipelineFlags pipeline_flags;
+int CmdCoordinate(FlagTable& flags, int argc, char** argv) {
+  vaccine::PipelineOptions pipeline_options;
   fleet::CoordinatorOptions options;
   std::string campaign_out;
   // After the last sample completes, keep serving until no request has
@@ -1697,77 +977,42 @@ int CmdCoordinate(int argc, char** argv) {
   // reply was torn by the network gets a second chance within its retry
   // backoff (capped at 2 s, hence the 3 s default).
   uint64_t linger_ms = 3000;
-  std::vector<std::string> sample_paths;
-  for (int i = 0; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* value = nullptr;
-    const int pipeline = ParseFleetPipelineFlag(argc, argv, &i,
-                                                &pipeline_flags);
-    if (pipeline == 2) return 2;
-    if (pipeline == 1) continue;
-    if (std::strcmp(arg, "--socket") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      options.socket_path = value;
-    } else if (std::strcmp(arg, "--journal") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      options.journal_path = value;
-    } else if (std::strcmp(arg, "--resume") == 0) {
-      options.resume = true;
-    } else if (std::strcmp(arg, "--lease-ms") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      options.lease_ms = std::strtoull(value, nullptr, 0);
-    } else if (std::strcmp(arg, "--threads") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      const long long threads = std::strtoll(value, nullptr, 0);
-      if (threads <= 0) {
-        std::fprintf(stderr, "error: --threads requires at least 1\n");
-        return 2;
-      }
-      options.threads = static_cast<size_t>(threads);
-    } else if (std::strcmp(arg, "--store") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      options.store_path = value;
-    } else if (std::strcmp(arg, "--campaign-out") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      campaign_out = value;
-    } else if (std::strcmp(arg, "--linger-ms") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      linger_ms = std::strtoull(value, nullptr, 0);
-    } else if (std::strcmp(arg, "--crash-after-assignments") == 0) {
-      // Chaos hook for the CI kill matrix: SIGKILL this process right
-      // after journaling the n-th assignment. Deliberately undocumented.
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      options.crash_after_assignments =
-          static_cast<size_t>(std::strtoull(value, nullptr, 0));
-    } else if (std::strncmp(arg, "--", 2) == 0) {
-      return UnknownOption(arg);
-    } else {
-      sample_paths.push_back(arg);
-    }
-  }
+  AddPipelineFlags(flags, &pipeline_options);
+  flags.String("--socket", "s", "endpoint the workers connect to",
+               &options.socket_path);
+  flags.String("--journal", "f", "write-ahead journal of assignments",
+               &options.journal_path);
+  flags.Switch("--resume", "replay --journal after a coordinator crash",
+               &options.resume);
+  flags.Unsigned("--lease-ms", "n", "lease validity window (default 5000)",
+                 &options.lease_ms);
+  flags.Unsigned("--threads", "n", "request worker threads (default 4)",
+                 &options.threads, 1);
+  flags.String("--store", "f", "stream extracted vaccines into this store",
+               &options.store_path);
+  flags.String("--campaign-out", "f", "write the merged report as JSON",
+               &campaign_out);
+  flags.Unsigned("--linger-ms", "n",
+                 "keep serving until quiet this long (default 3000)",
+                 &linger_ms);
+  flags.Unsigned("--crash-after-assignments", "n",
+                 "chaos drill: SIGKILL after journaling n assignments",
+                 &options.crash_after_assignments);
+  if (auto exit = flags.ParseOrExit(argc, argv)) return *exit;
   if (options.socket_path.empty()) {
-    std::fprintf(stderr, "error: coordinate requires --socket\n");
-    return Usage();
+    return flags.Fail("coordinate requires --socket");
   }
-  if (sample_paths.empty()) {
-    std::fprintf(stderr, "error: coordinate needs at least one sample\n");
-    return Usage();
+  if (flags.positionals().empty()) {
+    return flags.Fail("coordinate needs at least one sample");
   }
-  auto programs = LoadSamples(sample_paths);
-  if (!programs.ok()) {
-    std::fprintf(stderr, "error: %s\n", programs.status().ToString().c_str());
-    return 1;
-  }
+  auto programs = LoadSamples(flags.positionals());
+  if (!programs.ok()) return ReportError(programs.status());
   const size_t total = programs->size();
 
   fleet::FleetCoordinator coordinator(std::move(programs).value(),
-                                      MakeFleetPipelineOptions(pipeline_flags),
-                                      options);
+                                      pipeline_options, options);
   const Status started = coordinator.Start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "error: %s\n", started.ToString().c_str());
-    return 1;
-  }
+  if (!started.ok()) return ReportError(started);
   // The "listening" line is the readiness signal scripts wait for.
   std::printf("coordinator: listening on %s (%zu samples, %zu already "
               "journaled, lease %llu ms, config %s)\n",
@@ -1777,8 +1022,7 @@ int CmdCoordinate(int argc, char** argv) {
               coordinator.config_digest().c_str());
   std::fflush(stdout);
 
-  std::signal(SIGINT, HandleStopSignal);
-  std::signal(SIGTERM, HandleStopSignal);
+  InstallStopHandlers();
   Status outcome = Status::Ok();
   while (true) {
     outcome = coordinator.WaitUntilDone(/*timeout_ms=*/200);
@@ -1824,8 +1068,7 @@ int CmdCoordinate(int argc, char** argv) {
                static_cast<unsigned long long>(progress.suspicious),
                static_cast<unsigned long long>(stats.ingested));
   if (!outcome.ok() && outcome.code() != StatusCode::kDeadlineExceeded) {
-    std::fprintf(stderr, "error: %s\n", outcome.ToString().c_str());
-    return 1;
+    return ReportError(outcome);
   }
   if (!progress.done) {
     std::fprintf(stderr,
@@ -1836,10 +1079,7 @@ int CmdCoordinate(int argc, char** argv) {
   }
 
   auto report = coordinator.Report();
-  if (!report.ok()) {
-    std::fprintf(stderr, "error: %s\n", report.status().ToString().c_str());
-    return 1;
-  }
+  if (!report.ok()) return ReportError(report.status());
   std::printf("fleet campaign complete: %zu samples, %zu vaccines "
               "(%zu demoted), %zu faults injected, %zu degraded, "
               "%zu failed\n",
@@ -1847,10 +1087,8 @@ int CmdCoordinate(int argc, char** argv) {
               report->total_demoted, report->total_faults_injected,
               report->samples_degraded, report->samples_failed);
   if (!campaign_out.empty()) {
-    const Status written = WriteStringToFile(
-        campaign_out, vaccine::CampaignReportToJson(report.value()) + "\n");
-    if (!written.ok()) {
-      std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
+    if (!WriteOutput(campaign_out,
+                     vaccine::CampaignReportToJson(report.value()) + "\n")) {
       return 1;
     }
     std::printf("campaign report written to %s (%zu samples)\n",
@@ -1859,114 +1097,50 @@ int CmdCoordinate(int argc, char** argv) {
   return 0;
 }
 
-int CmdDetonateWorker(int argc, char** argv) {
-  if (WantsHelp(argc, argv)) {
-    std::printf(
-        "usage: autovac detonate-worker --socket <s> <sample.asm>...\n"
-        "                               [--worker-id <s>] [--verdicts]\n"
-        "                               [--deadline-ms <n>] [--retries <n>]\n"
-        "                               [--retry-budget-ms <n>]\n"
-        "                               [--retry-seed <n>]\n"
-        "                               [--idle-poll-ms <n>]\n"
-        "                               [--max-idle-ms <n>]\n"
-        "                               [pipeline flags]\n"
-        "Runs one detonation worker against a coordinator: claim a\n"
-        "sample, analyze it while a heartbeat thread renews the lease,\n"
-        "upload the report, repeat until the campaign is done. The\n"
-        "sample files and pipeline flags must match the coordinator's\n"
-        "(both are folded into the campaign config digest) or every\n"
-        "claim is refused. A worker that stalls past the lease window\n"
-        "loses the sample to reassignment; its late upload is rejected\n"
-        "stale and not counted.\n");
-    return 0;
-  }
-  FleetPipelineFlags pipeline_flags;
+int CmdDetonateWorker(FlagTable& flags, int argc, char** argv) {
+  vaccine::PipelineOptions pipeline_options;
+  ClientFlags client;
   fleet::WorkerOptions options;
-  std::vector<std::string> sample_paths;
-  for (int i = 0; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* value = nullptr;
-    const int pipeline = ParseFleetPipelineFlag(argc, argv, &i,
-                                                &pipeline_flags);
-    if (pipeline == 2) return 2;
-    if (pipeline == 1) continue;
-    if (std::strcmp(arg, "--socket") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      options.socket_path = value;
-    } else if (std::strcmp(arg, "--worker-id") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      options.worker_id = value;
-    } else if (std::strcmp(arg, "--deadline-ms") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      options.deadline_ms = std::strtoull(value, nullptr, 0);
-    } else if (std::strcmp(arg, "--retries") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      const long long attempts = std::strtoll(value, nullptr, 0);
-      if (attempts <= 0) {
-        std::fprintf(stderr, "error: --retries requires at least 1\n");
-        return 2;
-      }
-      options.retry.max_attempts = static_cast<uint32_t>(attempts);
-    } else if (std::strcmp(arg, "--retry-budget-ms") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      options.retry.max_total_ms = std::strtoull(value, nullptr, 0);
-    } else if (std::strcmp(arg, "--retry-seed") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      options.retry.seed = std::strtoull(value, nullptr, 0);
-    } else if (std::strcmp(arg, "--verdicts") == 0) {
-      options.verdicts = true;
-    } else if (std::strcmp(arg, "--idle-poll-ms") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      options.idle_poll_ms = std::strtoull(value, nullptr, 0);
-    } else if (std::strcmp(arg, "--max-idle-ms") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      options.max_idle_ms = std::strtoull(value, nullptr, 0);
-    } else if (std::strcmp(arg, "--kill-after-claims") == 0) {
-      // Chaos hook for the CI kill matrix: SIGKILL this process right
-      // after the n-th successful claim. Deliberately undocumented.
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      options.kill_after_claims =
-          static_cast<size_t>(std::strtoull(value, nullptr, 0));
-    } else if (std::strcmp(arg, "--kill-mid-upload") == 0) {
-      // Chaos hook: SIGKILL after sending the first complete frame,
-      // before reading its reply. Deliberately undocumented.
-      options.kill_mid_upload = true;
-    } else if (std::strncmp(arg, "--", 2) == 0) {
-      return UnknownOption(arg);
-    } else {
-      sample_paths.push_back(arg);
-    }
+  AddPipelineFlags(flags, &pipeline_options);
+  AddClientFlags(flags, &client, /*with_binary=*/false);
+  flags.String("--worker-id", "s", "lease owner name (default 'worker')",
+               &options.worker_id);
+  flags.Switch("--verdicts", "stream advisory verdicts before analysis",
+               &options.verdicts);
+  flags.Unsigned("--idle-poll-ms", "n",
+                 "claim poll interval while idle (default 50)",
+                 &options.idle_poll_ms);
+  flags.Unsigned("--max-idle-ms", "n",
+                 "give up after idling this long (default 60000)",
+                 &options.max_idle_ms);
+  flags.Unsigned("--kill-after-claims", "n",
+                 "chaos drill: SIGKILL after the n-th claim",
+                 &options.kill_after_claims);
+  flags.Switch("--kill-mid-upload",
+               "chaos drill: SIGKILL after sending the first upload",
+               &options.kill_mid_upload);
+  if (auto exit = ParseClient(flags, argc, argv, client)) return *exit;
+  if (flags.positionals().empty()) {
+    return flags.Fail("detonate-worker needs the corpus samples");
   }
-  if (options.socket_path.empty()) {
-    std::fprintf(stderr, "error: detonate-worker requires --socket\n");
-    return Usage();
-  }
-  if (sample_paths.empty()) {
-    std::fprintf(stderr,
-                 "error: detonate-worker needs the corpus samples\n");
-    return Usage();
-  }
+  options.socket_path = client.socket_path;
+  options.deadline_ms = client.deadline_ms;
+  options.retry = client.retry;
   // Workers produce the phase-cost rollups that land in the merged
   // campaign report; the tracer must run exactly as `autovac campaign`
   // runs it or the merged report bytes would differ.
   GlobalTracer().set_enabled(true);
 
-  auto corpus = LoadSamples(sample_paths);
-  if (!corpus.ok()) {
-    std::fprintf(stderr, "error: %s\n", corpus.status().ToString().c_str());
-    return 1;
-  }
+  auto corpus = LoadSamples(flags.positionals());
+  if (!corpus.ok()) return ReportError(corpus.status());
   analysis::ExclusivenessIndex index;
-  if (pipeline_flags.use_exclusiveness) index = TrainIndex();
+  if (pipeline_options.run_exclusiveness) index = TrainIndex();
   vaccine::VaccinePipeline pipeline(
-      pipeline_flags.use_exclusiveness ? &index : nullptr,
-      MakeFleetPipelineOptions(pipeline_flags));
+      pipeline_options.run_exclusiveness ? &index : nullptr,
+      pipeline_options);
 
   auto stats = fleet::RunWorker(pipeline, corpus.value(), options);
-  if (!stats.ok()) {
-    std::fprintf(stderr, "error: %s\n", stats.status().ToString().c_str());
-    return 1;
-  }
+  if (!stats.ok()) return ReportError(stats.status());
   std::printf("worker %s: %zu claimed, %zu completed, %zu stale, "
               "%zu duplicates, %zu verdicts\n",
               options.worker_id.c_str(), stats->claimed, stats->completed,
@@ -1974,42 +1148,193 @@ int CmdDetonateWorker(int argc, char** argv) {
   return 0;
 }
 
+// ---- command table ---------------------------------------------------
+
+struct Command {
+  const char* name;
+  const char* synopsis;     // arguments after the command name
+  const char* description;  // the --help paragraph after the flag list
+  int (*run)(FlagTable& flags, int argc, char** argv);
+};
+
+const Command kCommands[] = {
+    {"analyze", "<sample.asm> [options]",
+     "Runs Phase I+II on an assembly sample, clinic-tests the extracted\n"
+     "vaccines against the benign corpus, and prints the survivors.\n"
+     "--fault-seed runs the whole analysis under a deterministic\n"
+     "randomized fault schedule; the limit flags cap the execution\n"
+     "envelope. --metrics-out dumps the process metrics registry as\n"
+     "JSONL; --trace-out writes a Chrome trace_event file (load it in\n"
+     "chrome://tracing or Perfetto) whose timestamps are VM instruction\n"
+     "counts, so same-seed runs produce identical span trees. Reports are\n"
+     "byte-identical for any --mutation-threads, with or without\n"
+     "--no-snapshot-replay.\n",
+     CmdAnalyze},
+    {"campaign", "<sample.asm>... [options]",
+     "Analyzes a wave of samples with crash isolation and prints the\n"
+     "per-sample dashboard plus campaign phase-cost totals. --journal\n"
+     "makes the campaign durable: every completed sample is fsync'd to a\n"
+     "write-ahead journal and --resume re-runs only the missing ones,\n"
+     "producing the same report bytes as an uninterrupted run. --jobs > 1\n"
+     "or --sample-deadline-ms > 0 shards samples across forked worker\n"
+     "processes, so a crashing or hanging sample becomes a failed row,\n"
+     "never a dead campaign; --jobs x --mutation-threads is capped at the\n"
+     "machine's hardware threads. Exit code 3 means the run stopped early\n"
+     "(--stop-after) with the journal intact.\n",
+     CmdCampaign},
+    {"test", "<sample.asm> <package.pkg>",
+     "Deploys the package on a fresh machine and re-runs the sample\n"
+     "against it: native calls on a normal and a vaccinated machine, and\n"
+     "the BDR. Exit 0 when the package demonstrably affected the sample.\n",
+     CmdTest},
+    {"trace", "<sample.asm> [--out <f>]",
+     "Runs the sample once and dumps the serialized API trace.\n", CmdTrace},
+    {"disasm", "<sample.asm>",
+     "Assembles the sample and prints the program listing.\n", CmdDisasm},
+    {"serve", "--socket <s> [--store <f>] [--tcp <host:port>] [options]",
+     "Runs vacd, the vaccine store + distribution server, until SIGINT\n"
+     "or SIGTERM (both drain: every request already at the worker pool\n"
+     "is answered and the store is fsync'd before exit). With --store the\n"
+     "feed is durable: pushes append to a fsync'd JSONL journal that\n"
+     "survives crashes and restarts; --checkpoint-every bounds restart\n"
+     "recovery to the delta since the last checkpoint. Vaccines whose\n"
+     "identifier or pattern collides with the benign corpus are\n"
+     "quarantined (stored, never served) unless --no-exclusiveness is\n"
+     "given. --dedup-window 0 disables idempotent push retries.\n"
+     "The Unix socket and the optional --tcp listener share one\n"
+     "event-driven core: persistent connections, pipelined JSON or\n"
+     "binary frames, per-connection flow control (connection cap, token\n"
+     "bucket, bounded write buffer, idle sweep; 0 disables the idle\n"
+     "timeout). --tcp port 0 picks an ephemeral port, printed in the\n"
+     "readiness line. No authentication yet: bind loopback (the default\n"
+     "host) unless the network is trusted.\n",
+     CmdServe},
+    {"push", "--socket <s> <package.pkg>... [options]",
+     "Ingests the packages' vaccines into a running vacd. The store\n"
+     "dedups by content digest, so re-pushing a package is a no-op;\n"
+     "conflicting vaccines are quarantined, not served. Retried pushes\n"
+     "(--retries > 1) carry an idempotency id.\n",
+     CmdPush},
+    {"query", "--socket <s> --resource <type> <identifier> [options]",
+     "Asks vacd which served vaccines match the identifier (resource\n"
+     "types: file, registry, mutex, process, window, library,\n"
+     "service). Exit 0 when at least one vaccine matches, 1 when\n"
+     "none does.\n",
+     CmdQuery},
+    {"pull", "--socket <s> [--since <epoch>] [--out <f>] [options]",
+     "Fetches every served vaccine newer than the given feed epoch.\n"
+     "The feed page (the server's reply JSON) goes to stdout or --out\n"
+     "verbatim; the same store contents produce byte-identical pages\n"
+     "across server restarts. The summary line goes to stderr.\n",
+     CmdPull},
+    {"sync", "--socket <s> [--page <n>] [--out <f>] [--binary] [options]",
+     "Mirrors the full vaccine feed with incremental pulls: pages of\n"
+     "at most --page items (0 = one unbounded pull) are fetched with\n"
+     "'pull --since <cursor>' until the feed is drained, tombstones\n"
+     "are applied, and the converged mirror is written to --out (or\n"
+     "stdout) as canonical feed JSON — byte-identical to one full\n"
+     "pull from the live server. The summary line goes to stderr.\n",
+     CmdSync},
+    {"quarantine", "--socket <s> <digest> [--reason <s>] [options]",
+     "Retracts one vaccine from a running vacd by content digest: it\n"
+     "stays stored but is never served again, and delta-syncing\n"
+     "clients receive a tombstone on their next pull. Idempotent —\n"
+     "quarantining an already-quarantined digest reports 'already'.\n",
+     CmdQuarantine},
+    {"chaos-proxy", "--listen <s> --backend <s> [--fault-seed <n>] [options]",
+     "Relays vacd connections from --listen to --backend through a\n"
+     "deterministic wire-fault injector: refused connects, frames cut\n"
+     "mid-byte, one-byte-at-a-time delivery, stalls and duplicated\n"
+     "requests, all drawn from --fault-seed. Point a client at the\n"
+     "proxy socket to rehearse its retry policy against a real vacd:\n"
+     "  autovac serve --socket /tmp/vacd.sock --store feed.jsonl &\n"
+     "  autovac chaos-proxy --listen /tmp/chaos.sock \\\n"
+     "      --backend /tmp/vacd.sock --fault-seed 7 &\n"
+     "  autovac push --socket /tmp/chaos.sock --retries 8 wave.pkg\n"
+     "Runs until SIGINT/SIGTERM, then prints a fault summary.\n",
+     CmdChaosProxy},
+    {"status", "--socket <s> [options]",
+     "Prints a running vacd's operational counters. The recovery\n"
+     "telemetry shows what a restart would cost: 'checkpoint epoch'\n"
+     "is the feed epoch the last checkpoint covers, 'replayed' the\n"
+     "journal records actually replayed at the last start, and\n"
+     "'dedup hits' how often the idempotency window absorbed a\n"
+     "retried push.\n",
+     CmdStatus},
+    {"coordinate", "--socket <s> <sample.asm>... [options]",
+     "Shards the samples across remote detonation workers under\n"
+     "leases. A worker that crashes, stalls, or partitions loses its\n"
+     "lease and the sample is reassigned; a zombie upload under a\n"
+     "reassigned lease is rejected stale, so every sample is counted\n"
+     "exactly once. With --journal every assignment and completion is\n"
+     "fsync'd write-ahead, and --resume restarts a SIGKILLed\n"
+     "coordinator with only the unacknowledged delta lost; the final\n"
+     "report is byte-identical to a fault-free `autovac campaign` run\n"
+     "for any failure schedule. After the campaign completes the\n"
+     "coordinator keeps serving until the fleet has been quiet for\n"
+     "--linger-ms, so idle workers observe done instead of a torn\n"
+     "socket. The pipeline flags are folded into the campaign config\n"
+     "digest and must match the workers'. Exit code 3 means\n"
+     "interrupted with the journal intact.\n",
+     CmdCoordinate},
+    {"detonate-worker", "--socket <s> <sample.asm>... [options]",
+     "Runs one detonation worker against a coordinator: claim a\n"
+     "sample, analyze it while a heartbeat thread renews the lease,\n"
+     "upload the report, repeat until the campaign is done. The\n"
+     "sample files and pipeline flags must match the coordinator's\n"
+     "(both are folded into the campaign config digest) or every\n"
+     "claim is refused. A worker that stalls past the lease window\n"
+     "loses the sample to reassignment; its late upload is rejected\n"
+     "stale and not counted.\n",
+     CmdDetonateWorker},
+    {"corpus",
+     "--out <dir> [--seed <n>] [--per-class <n>] [--evasion <list>]",
+     "Generates the adversarial evasion corpus as assembly sources in\n"
+     "<dir> (created if absent). Classes: stalling, env-probe,\n"
+     "runtime-unpack, vaccine-aware; default is all of them. The same\n"
+     "--seed writes byte-identical files regardless of which class\n"
+     "subset is requested; unknown class names are rejected (exit 2).\n",
+     CmdCorpus},
+};
+
+void PrintUsage(std::FILE* out) {
+  std::fprintf(out, "usage: autovac <command> [arguments] [options]\n");
+  for (const Command& command : kCommands) {
+    std::fprintf(out, "  %-16s%s\n", command.name, command.synopsis);
+  }
+  std::fprintf(
+      out,
+      "run 'autovac <command> --help' for a command's flags.\n"
+      "quick start (vaccine feed):\n"
+      "  autovac campaign samples/*.asm --package wave.pkg\n"
+      "  autovac serve --socket /tmp/vacd.sock --store feed.jsonl &\n"
+      "  autovac push --socket /tmp/vacd.sock wave.pkg\n"
+      "  autovac query --socket /tmp/vacd.sock --resource mutex BadMutex\n"
+      "  autovac pull --socket /tmp/vacd.sock --since 0\n");
+}
+
+int Usage() {
+  PrintUsage(stderr);
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
-  const std::string command = argv[1];
-  if (command == "--help" || command == "-h") {
+  const std::string name = argv[1];
+  if (name == "--help" || name == "-h") {
     PrintUsage(stdout);
     return 0;
   }
-  // The sample-processing commands share the consolidated usage text;
-  // the vacd commands print their own focused help.
-  const bool legacy = command == "analyze" || command == "campaign" ||
-                      command == "test" || command == "trace" ||
-                      command == "disasm";
-  if (legacy && WantsHelp(argc - 2, argv + 2)) {
-    PrintUsage(stdout);
-    return 0;
+  for (const Command& command : kCommands) {
+    if (name == command.name) {
+      FlagTable flags(
+          StrFormat("autovac %s %s", command.name, command.synopsis),
+          command.description);
+      return command.run(flags, argc - 2, argv + 2);
+    }
   }
-  if (command == "analyze") return CmdAnalyze(argc - 2, argv + 2);
-  if (command == "campaign") return CmdCampaign(argc - 2, argv + 2);
-  if (command == "test") return CmdTest(argc - 2, argv + 2);
-  if (command == "trace") return CmdTrace(argc - 2, argv + 2);
-  if (command == "disasm") return CmdDisasm(argc - 2, argv + 2);
-  if (command == "corpus") return CmdCorpus(argc - 2, argv + 2);
-  if (command == "serve") return CmdServe(argc - 2, argv + 2);
-  if (command == "push") return CmdPush(argc - 2, argv + 2);
-  if (command == "query") return CmdQuery(argc - 2, argv + 2);
-  if (command == "pull") return CmdPull(argc - 2, argv + 2);
-  if (command == "sync") return CmdSync(argc - 2, argv + 2);
-  if (command == "quarantine") return CmdQuarantine(argc - 2, argv + 2);
-  if (command == "chaos-proxy") return CmdChaosProxy(argc - 2, argv + 2);
-  if (command == "status") return CmdStatus(argc - 2, argv + 2);
-  if (command == "coordinate") return CmdCoordinate(argc - 2, argv + 2);
-  if (command == "detonate-worker") {
-    return CmdDetonateWorker(argc - 2, argv + 2);
-  }
-  std::fprintf(stderr, "error: unknown command '%s'\n", command.c_str());
+  std::fprintf(stderr, "error: unknown command '%s'\n", name.c_str());
   return Usage();
 }
